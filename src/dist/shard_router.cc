@@ -4,20 +4,12 @@
 #include <optional>
 #include <utility>
 
-#include "partition/cells.h"
+#include "engine/cell_route.h"
 #include "util/logging.h"
-#include "util/simd.h"
 
 namespace stl {
 
 namespace {
-
-/// Saturates the three-term routing sums back into the Weight range —
-/// the same clamp as the in-process router (bit-identity requires the
-/// identical arithmetic range).
-inline Weight ClampInf(uint64_t d) {
-  return d >= kInfDistance ? kInfDistance : static_cast<Weight>(d);
-}
 
 ServingCoreOptions RouterCoreOptions(const ShardRouterOptions& options) {
   ServingCoreOptions core;
@@ -44,26 +36,29 @@ inline uint64_t PointKey(Vertex s, Vertex t) {
 // ------------------------------------------------------------ SpanFanout
 
 // The scatter-gather state of one routed span (a batch chunk, or a
-// single query in RouteAsync's one-element mode). Two phases:
+// single query in RouteAsync's one-element mode). It is also the row
+// source CellRouter (engine/cell_route.h) reads, in two phases:
 //
-//   scatter — enumerate every UNIQUE row/point fetch the span's
-//     decompositions need (slots pre-created so the map never rehashes
-//     under concurrent arrivals), then issue them all through
+//   scatter — run the span's decomposition over the still-empty slots:
+//     every Row/Point request pre-creates its slot (so the maps never
+//     rehash under concurrent arrivals) and reads as unavailable, so
+//     the span's UNIQUE fetch set falls out of the same case analysis
+//     that later consumes it. Then issue them all through
 //     CallReplicaAsync. Each arrival writes only its own slot; no lock.
 //
 //   gather — the LAST arrival (pending counter, acq_rel so every
-//     slot write happens-before the read side) runs Compute(): a
-//     sequential pass over the span in submission-sorted order, doing
-//     the exact min-plus arithmetic of the in-process router on the
-//     prefetched rows. One thread, deterministic order, bit-identical
-//     answers.
+//     slot write happens-before the read side) runs Compute(): the
+//     same decomposition, sequentially over the span in submission-
+//     sorted order, now reading the filled slots. One thread,
+//     deterministic order, bit-identical answers.
 //
 // Kept alive by the shared_ptr each in-flight callback captures; the
 // issuing reader thread returns as soon as the scatter loop finishes.
+// `snap` (and the span arrays) are pinned by `done` until it runs.
 struct ShardRouter::SpanFanout
     : public std::enable_shared_from_this<ShardRouter::SpanFanout> {
   ShardRouter* router = nullptr;
-  std::shared_ptr<const ShardedSnapshot> snap;
+  const ShardedSnapshot* snap = nullptr;
   const QueryPair* queries = nullptr;
   const uint32_t* idx = nullptr;
   size_t count = 0;
@@ -77,49 +72,51 @@ struct ShardRouter::SpanFanout
   Weight one_out = kInfDistance;
   StatusCode one_code = StatusCode::kOk;
 
-  // (vertex << 32 | shard) -> fetched row; nullopt = replica-exhausted
-  // (or malformed width). Slots pre-created before any issue.
+  // (vertex << 32 | shard) -> fetched row; nullopt = not yet fetched,
+  // replica-exhausted, or malformed width.
   std::unordered_map<uint64_t, std::optional<std::vector<Weight>>> rows;
-  // (s << 32 | t) -> same-cell distance; nullopt = replica-exhausted.
+  // (s << 32 | t) -> same-cell distance; nullopt = not yet fetched or
+  // replica-exhausted.
   std::unordered_map<uint64_t, std::optional<Weight>> points;
+  // False during the scatter's enumeration; a slot first requested
+  // during the gather would be a fetch the enumeration missed.
+  bool gathering = false;
 
   // Outstanding fetches + 1 (the scatter loop's own guard, dropped
   // after the last issue so an all-inline transport cannot fire the
   // gather before enumeration finishes).
   std::atomic<size_t> pending{1};
 
-  // Compute-phase memo of the current group's inner vector
-  // min_{b2} D[b1][b2] + dt[b2] (sequential; same reuse as the
-  // in-process BatchRouteScratch).
-  uint64_t inner_cs = ~uint64_t{0};
-  uint64_t inner_ct = ~uint64_t{0};
-  Vertex inner_t = 0;
-  bool inner_ok = false;
-  std::vector<Weight> inner;
+  std::vector<Weight> inner;  // CellRouter's inner-vector scratch
+
+  /// CellRouter row source: the fetched row of (shard, v), or null.
+  const std::vector<Weight>* Row(uint32_t shard, Vertex v) {
+    auto [it, fresh] = rows.try_emplace(RowKey(shard, v));
+    STL_DCHECK(!(fresh && gathering)) << "row not enumerated";
+    return it->second ? &*it->second : nullptr;
+  }
+
+  /// CellRouter point source: the fetched same-cell distance, or false.
+  bool Point(Vertex s, Vertex t, Weight* d) {
+    auto [it, fresh] = points.try_emplace(PointKey(s, t));
+    STL_DCHECK(!(fresh && gathering)) << "point not enumerated";
+    if (!it->second) return false;
+    *d = *it->second;
+    return true;
+  }
 
   void Start() {
     const ShardLayout& lay = *snap->layout;
-    // Pass 1: pre-create every unique slot (mirrors RouteOne's needs).
-    for (size_t j = 0; j < count; ++j) {
-      const QueryPair& q = queries[idx[j]];
-      const Vertex s = q.first;
-      const Vertex t = q.second;
-      if (s == t) continue;
-      const uint32_t cs = lay.shard_of_vertex[s];
-      const uint32_t ct = lay.shard_of_vertex[t];
-      const bool sb = cs == CellPartition::kBoundaryCell;
-      const bool tb = ct == CellPartition::kBoundaryCell;
-      if (sb && tb) continue;  // overlay-only: no replica involved
-      if (!sb && !tb && cs == ct) points.try_emplace(PointKey(s, t));
-      if (sb) {
-        rows.try_emplace(RowKey(ct, t));
-      } else if (tb) {
-        rows.try_emplace(RowKey(cs, s));
-      } else {
-        rows.try_emplace(RowKey(cs, s));
-        rows.try_emplace(RowKey(ct, t));
+    // Pass 1: enumerate every unique slot the span's routes request.
+    {
+      CellRouter<SpanFanout> enumerate(*snap, this, &inner);
+      for (size_t j = 0; j < count; ++j) {
+        const QueryPair& q = queries[idx[j]];
+        StatusCode unused = StatusCode::kOk;
+        enumerate.Route(q.first, q.second, &unused);
       }
     }
+    gathering = true;
     // Pass 2: issue everything. From here on arrivals may run (inline
     // for a synchronous transport) on any thread; they only write
     // their own pre-created slot and decrement pending.
@@ -139,8 +136,8 @@ struct ShardRouter::SpanFanout
           req, [self, slot_ptr, shard](bool ok, ShardResponse resp) {
             if (ok) {
               // Width guard: a malformed |S_i| row is as unusable as no
-              // row (and, like the sync router, is not retried on
-              // siblings — CallReplicaAsync already settled).
+              // row (and is not retried on siblings — CallReplicaAsync
+              // already settled).
               const size_t width = self->snap->layout->shards[shard]
                                        .boundary_local.size();
               if (resp.row.size() == width) *slot_ptr = std::move(resp.row);
@@ -174,59 +171,21 @@ struct ShardRouter::SpanFanout
     Compute();
     // Run-and-release: `fn` may capture the ticket (or the single-mode
     // result slots through `this`, which outlives the call because the
-    // invoking callback still holds its shared_ptr).
+    // invoking callback still holds its shared_ptr). Nothing here
+    // touches `snap` once `fn` has run: it may release the last pin.
     std::function<void()> fn = std::move(done);
     done = nullptr;
     fn();
   }
 
-  /// The sequential compute phase: exact RouteOne per query, reading
-  /// the prefetched slots. Chunks touch disjoint out/codes slots.
+  /// The sequential compute phase: the decomposition per query over
+  /// the filled slots. Chunks touch disjoint out/codes slots.
   void Compute() {
+    CellRouter<SpanFanout> route(*snap, this, &inner);
     for (size_t j = 0; j < count; ++j) {
       const QueryPair& q = queries[idx[j]];
-      out[idx[j]] =
-          router->RouteOne(*snap, q.first, q.second, this, &codes[idx[j]]);
+      out[idx[j]] = route.Route(q.first, q.second, &codes[idx[j]]);
     }
-  }
-
-  /// The prefetched row of (shard, v); null when every replica failed.
-  const std::vector<Weight>* Row(uint32_t shard, Vertex v) const {
-    auto it = rows.find(RowKey(shard, v));
-    STL_DCHECK(it != rows.end()) << "row not enumerated";
-    return it->second ? &*it->second : nullptr;
-  }
-
-  /// The prefetched same-cell distance; false when every replica
-  /// failed.
-  bool Point(Vertex s, Vertex t, Weight* d) const {
-    auto it = points.find(PointKey(s, t));
-    STL_DCHECK(it != points.end()) << "point not enumerated";
-    if (!it->second) return false;
-    *d = *it->second;
-    return true;
-  }
-
-  /// The current group's inner vector (memoised across the sequential
-  /// span; same MinPlusRowsInto arithmetic as the in-process router).
-  const std::vector<Weight>* Inner(uint32_t cs, uint32_t ct, Vertex t) {
-    if (inner_cs != cs || inner_ct != ct || inner_t != t) {
-      inner_cs = cs;
-      inner_ct = ct;
-      inner_t = t;
-      inner_ok = false;
-      const std::vector<Weight>* dt = Row(ct, t);
-      if (dt != nullptr) {
-        const ShardLayout::Shard& sshard = snap->layout->shards[cs];
-        inner.resize(sshard.boundary_pos.size());
-        snap->overlay->MinPlusRowsInto(
-            ct, sshard.boundary_pos.data(),
-            static_cast<uint32_t>(sshard.boundary_pos.size()), dt->data(),
-            inner.data());
-        inner_ok = true;
-      }
-    }
-    return inner_ok ? &inner : nullptr;
   }
 };
 
@@ -532,76 +491,6 @@ void ShardRouter::CallReplicaAsync(
   call->TryNext(0);
 }
 
-Weight ShardRouter::RouteOne(const ShardedSnapshot& snap, Vertex s,
-                             Vertex t, SpanFanout* fan, StatusCode* code) {
-  // The in-process router's decomposition verbatim (bit-identity), with
-  // ds/dt rows and the same-cell point distance read from the fan-out's
-  // prefetched replica answers at the snapshot's pinned per-shard
-  // epochs. The overlay reduction runs router-side on the pinned
-  // epoch's table.
-  const ShardLayout& lay = *snap.layout;
-  STL_DCHECK(s < lay.shard_of_vertex.size());
-  STL_DCHECK(t < lay.shard_of_vertex.size());
-  if (s == t) return 0;
-  const uint32_t cs = lay.shard_of_vertex[s];
-  const uint32_t ct = lay.shard_of_vertex[t];
-  const bool s_boundary = cs == CellPartition::kBoundaryCell;
-  const bool t_boundary = ct == CellPartition::kBoundaryCell;
-
-  if (s_boundary && t_boundary) {
-    // Both endpoints are separator vertices: the pinned overlay already
-    // holds the exact distance — no replica involved.
-    return snap.overlay->At(lay.boundary_pos_of_vertex[s],
-                            lay.boundary_pos_of_vertex[t]);
-  }
-
-  uint64_t best = kInfDistance;
-  if (!s_boundary && !t_boundary && cs == ct) {
-    // Same cell: the shard-internal distance comes from a replica; the
-    // boundary-detour alternative is still covered by the general case
-    // below (D[b][b] = 0 makes touch-and-return a special case of it).
-    Weight d = kInfDistance;
-    if (!fan->Point(s, t, &d)) {
-      *code = StatusCode::kUnavailable;
-      return kInfDistance;
-    }
-    best = d;
-  }
-
-  if (s_boundary) {
-    const std::vector<Weight>* dt = fan->Row(ct, t);
-    if (dt == nullptr) {
-      *code = StatusCode::kUnavailable;
-      return kInfDistance;
-    }
-    const uint32_t pos = lay.boundary_pos_of_vertex[s];
-    best = std::min<uint64_t>(
-        best, MinPlusReduce(snap.overlay->PackedRow(ct, pos), dt->data(),
-                            static_cast<uint32_t>(dt->size())));
-  } else if (t_boundary) {
-    const std::vector<Weight>* ds = fan->Row(cs, s);
-    if (ds == nullptr) {
-      *code = StatusCode::kUnavailable;
-      return kInfDistance;
-    }
-    const uint32_t pos = lay.boundary_pos_of_vertex[t];
-    best = std::min<uint64_t>(
-        best, MinPlusReduce(snap.overlay->PackedRow(cs, pos), ds->data(),
-                            static_cast<uint32_t>(ds->size())));
-  } else {
-    const std::vector<Weight>* ds = fan->Row(cs, s);
-    const std::vector<Weight>* inner = fan->Inner(cs, ct, t);
-    if (ds == nullptr || inner == nullptr) {
-      *code = StatusCode::kUnavailable;
-      return kInfDistance;
-    }
-    best = std::min<uint64_t>(
-        best, MinPlusReduce(ds->data(), inner->data(),
-                            static_cast<uint32_t>(ds->size())));
-  }
-  return ClampInf(best);
-}
-
 // ----------------------------------------------------- the router policy
 
 void ShardRouter::Policy::PublishInitial() {
@@ -638,12 +527,12 @@ uint32_t ShardRouter::Policy::NumEdges() const {
 }
 
 void ShardRouter::Policy::RouteAsync(
-    std::shared_ptr<const ShardedSnapshot> snap, Vertex s, Vertex t,
+    const ShardedSnapshot& snap, Vertex s, Vertex t,
     std::function<void(Weight, StatusCode)> done) const {
   // One-element span: the fan-out's pointers alias its own storage.
   auto fan = std::make_shared<SpanFanout>();
   fan->router = router;
-  fan->snap = std::move(snap);
+  fan->snap = &snap;
   fan->one_query = QueryPair{s, t};
   fan->queries = &fan->one_query;
   fan->idx = &fan->one_idx;
@@ -660,23 +549,13 @@ void ShardRouter::Policy::RouteAsync(
   raw->Start();
 }
 
-uint64_t ShardRouter::Policy::BatchSortKey(const ShardedSnapshot& snap,
-                                           const QueryPair& q) const {
-  // Same grouping as the in-process batched router: (source cell,
-  // target cell, target) adjacency maximises row/inner reuse.
-  const ShardLayout& lay = *snap.layout;
-  const uint64_t cs = lay.shard_of_vertex[q.first] & 0xffff;
-  const uint64_t ct = lay.shard_of_vertex[q.second] & 0xffff;
-  return (cs << 48) | (ct << 32) | q.second;
-}
-
 void ShardRouter::Policy::RouteSpanAsync(
-    std::shared_ptr<const ShardedSnapshot> snap, const QueryPair* queries,
+    const ShardedSnapshot& snap, const QueryPair* queries,
     const uint32_t* idx, size_t count, Weight* out, StatusCode* codes,
     std::function<void()> done) const {
   auto fan = std::make_shared<SpanFanout>();
   fan->router = router;
-  fan->snap = std::move(snap);
+  fan->snap = &snap;
   fan->queries = queries;
   fan->idx = idx;
   fan->count = count;

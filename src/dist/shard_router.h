@@ -31,23 +31,23 @@
 // the same one-shot-claim completion machinery as every other serving
 // path.
 //
-// The fan-out is asynchronous end to end (Policy::kAsyncRoute): a
-// reader thread enumerates the span's unique fetches, issues them all,
-// and returns to the pool; each RPC's answer arrives through the
-// tag-keyed Mailbox (from the transport's delivery thread), sibling
-// failover chains through PendingCall without blocking anyone, and the
-// LAST arrival runs the sequential min-plus compute phase — so the
-// answer bytes are produced by one thread in deterministic order,
-// bit-identical to the synchronous in-process router, while a fan-out
-// of N RPCs blocks zero reader threads.
+// The fan-out is asynchronous end to end (ServingCore's continuation
+// contract, completed later rather than inline): a reader thread
+// enumerates the span's unique fetches, issues them all, and returns to
+// the pool; each RPC's answer arrives through the tag-keyed Mailbox
+// (from the transport's delivery thread), sibling failover chains
+// through PendingCall without blocking anyone, and the LAST arrival
+// runs the sequential compute phase — so the answer bytes are produced
+// by one thread in deterministic order while a fan-out of N RPCs blocks
+// zero reader threads.
 //
 // Bit-identity (the conformance contract, tests/router_test.cc and
 // bench_router_fanout --check): replica-served rows are computed by
 // the same FillShardBoundaryRow on the same immutable shard views the
-// in-process engine reads, and the router's reduction is the same
-// MinPlusReduce/MinPlusRowsInto arithmetic on the same pinned overlay
-// — so every routed answer is byte-identical to ShardedEngine on the
-// same epoch.
+// in-process engine reads, and both the enumeration and the compute
+// phase run the one cell decomposition (engine/cell_route.h) that
+// ShardedEngine routes through, on the same pinned overlay — so every
+// routed answer is byte-identical to ShardedEngine on the same epoch.
 #ifndef STL_DIST_SHARD_ROUTER_H_
 #define STL_DIST_SHARD_ROUTER_H_
 
@@ -227,14 +227,10 @@ class ShardRouter {
   struct Policy {
     using Snapshot = ShardedSnapshot;
     using Result = ShardedQueryResult;
-    // Batched misses sort by (source cell, target cell, target) so
+    // Batched misses sort by BatchSortKey (engine/cell_route.h) so
     // fetched rows and inner vectors are deduplicated across each
-    // group — the same grouping (and the same arithmetic) as
-    // ShardedEngine.
+    // group — the same grouping as ShardedEngine.
     static constexpr bool kGroupsBatches = true;
-    // Continuation-passing routing: the fan-out parks no reader thread
-    // (see the async contract in engine/serving_core.h).
-    static constexpr bool kAsyncRoute = true;
 
     ShardRouter* router;
 
@@ -242,12 +238,11 @@ class ShardRouter {
     Weight ResolveOldWeight(EdgeId e) const;
     void ApplyBatch(const UpdateBatch& batch);
     uint32_t NumEdges() const;
-    void RouteAsync(std::shared_ptr<const ShardedSnapshot> snap, Vertex s,
-                    Vertex t,
+    // The continuation contract completed by the fan-out: `done` runs
+    // from whichever thread lands the span's last reply.
+    void RouteAsync(const ShardedSnapshot& snap, Vertex s, Vertex t,
                     std::function<void(Weight, StatusCode)> done) const;
-    uint64_t BatchSortKey(const ShardedSnapshot& snap,
-                          const QueryPair& q) const;
-    void RouteSpanAsync(std::shared_ptr<const ShardedSnapshot> snap,
+    void RouteSpanAsync(const ShardedSnapshot& snap,
                         const QueryPair* queries, const uint32_t* idx,
                         size_t count, Weight* out, StatusCode* codes,
                         std::function<void()> done) const;
@@ -295,14 +290,6 @@ class ShardRouter {
   /// transport) — with ok=false after every endpoint failed.
   void CallReplicaAsync(const ShardRequest& req,
                         std::function<void(bool, ShardResponse)> done);
-
-  /// The one routed query implementation: ShardedEngine's
-  /// decomposition, reading rows/points the fan-out already fetched
-  /// and reducing through the pinned overlay's min-plus kernels.
-  /// Writes kUnavailable to *code (and returns kInfDistance) when a
-  /// needed fetch exhausted every replica.
-  Weight RouteOne(const ShardedSnapshot& snap, Vertex s, Vertex t,
-                  SpanFanout* fan, StatusCode* code);
 
   /// Installs `snap` on every replica — in-process directly, or over
   /// the wire as the kInstall sequence carrying `updates` — then

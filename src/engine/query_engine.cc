@@ -66,31 +66,6 @@ uint32_t QueryEngine::Policy::NumEdges() const {
   return engine->graph_->NumEdges();
 }
 
-Weight QueryEngine::Policy::Route(const EngineSnapshot& snap, Vertex s,
-                                  Vertex t, StatusCode* code) const {
-  (void)code;  // in-process routing cannot fail; *code stays kOk
-  return snap.Query(s, t);
-}
-
-uint64_t QueryEngine::Policy::BatchSortKey(const EngineSnapshot& snap,
-                                           const QueryPair& q) const {
-  (void)snap;
-  (void)q;
-  return 0;  // kGroupsBatches is false; never called
-}
-
-void QueryEngine::Policy::RouteSpan(const EngineSnapshot& snap,
-                                    const QueryPair* queries,
-                                    const uint32_t* idx, size_t count,
-                                    Weight* out,
-                                    StatusCode* codes) const {
-  (void)codes;  // in-process routing cannot fail; codes stay kOk
-  for (size_t j = 0; j < count; ++j) {
-    const QueryPair& q = queries[idx[j]];
-    out[idx[j]] = snap.Query(q.first, q.second);
-  }
-}
-
 void QueryEngine::Policy::AugmentStats(EngineStats* s) const {
   s->backend = engine->options_.backend;
   // Honest resident memory of the serving state, wait-free: the

@@ -261,13 +261,22 @@ class QueryEngine {
     Weight ResolveOldWeight(EdgeId e) const;
     void ApplyBatch(const UpdateBatch& batch);
     uint32_t NumEdges() const;
-    Weight Route(const EngineSnapshot& snap, Vertex s, Vertex t,
-                 StatusCode* code) const;
-    uint64_t BatchSortKey(const EngineSnapshot& snap,
-                          const QueryPair& q) const;
-    void RouteSpan(const EngineSnapshot& snap, const QueryPair* queries,
-                   const uint32_t* idx, size_t count, Weight* out,
-                   StatusCode* codes) const;
+    // Routing completes inline: one IndexView query per pair.
+    template <typename Done>
+    void RouteAsync(const EngineSnapshot& snap, Vertex s, Vertex t,
+                    Done&& done) const {
+      done(snap.Query(s, t), StatusCode::kOk);
+    }
+    template <typename Done>
+    void RouteSpanAsync(const EngineSnapshot& snap, const QueryPair* queries,
+                        const uint32_t* idx, size_t count, Weight* out,
+                        StatusCode* /*codes*/, Done&& done) const {
+      for (size_t j = 0; j < count; ++j) {
+        const QueryPair& q = queries[idx[j]];
+        out[idx[j]] = snap.Query(q.first, q.second);
+      }
+      done();
+    }
     void AugmentStats(EngineStats* s) const;
   };
 

@@ -7,15 +7,19 @@
 //
 //   callers                       ServingCore<Policy>
 //   ───────────────────────────   ──────────────────────────────────────
-//   Submit()        -> future     compat adapter: one promise per query
+//   Submit()        -> future     one per-query path (SubmitOne) with
+//   SubmitTagged()  -> sink       two deliveries: a promise carrying the
+//                                 snapshot, or a CompletionSink push
+//                                 with the caller's tag (no promise)
 //   SubmitBatch()   -> ticket     pins ONE snapshot for the whole batch,
-//                                 consults the epoch-keyed result cache,
-//                                 groups the misses by Policy::
-//                                 BatchSortKey and routes them in chunks
-//                                 on the reader pool (Policy::RouteSpan)
-//   SubmitTagged()  -> sink       completion-queue mode: no promise, no
-//   SubmitBatchTagged()           future — the answer is pushed to a
-//                                 CompletionSink with the caller's tag
+//   SubmitBatchTagged()           consults the epoch-keyed result cache,
+//                                 groups the misses by BatchSortKey and
+//                                 routes them in chunks on the reader
+//                                 pool (Policy::RouteSpanAsync)
+//
+// Routing is one continuation-passing contract (see ServingCore): an
+// in-process policy completes it inline, the distributed router
+// completes it when its fan-out's last reply lands.
 //
 // Consistency contract (inherited by both engines): every query is
 // answered exactly for the weights of the single epoch snapshot it was
@@ -53,13 +57,13 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "engine/atomic_shared_ptr.h"
 #include "engine/fault_injector.h"
 #include "engine/latency_histogram.h"
+#include "engine/slot_cache.h"
 #include "engine/thread_pool.h"
 #include "engine/update_queue.h"
 #include "graph/updates.h"
@@ -326,8 +330,9 @@ struct Completion {
 };
 
 /// Where completion-mode answers go. Deliver() is called exactly once
-/// per submitted tag, from a reader-pool thread (or from the submitting
-/// thread for result-cache hits inside SubmitBatchTagged); it must be
+/// per submitted tag, from a reader-pool thread, a routing policy's
+/// own thread (the router's reply delivery), or the submitting thread
+/// (result-cache hits inside SubmitBatchTagged); it must be
 /// thread-safe and should not block for long — it runs on the serving
 /// path.
 class CompletionSink {
@@ -367,63 +372,6 @@ class CompletionQueue final : public CompletionSink {
   mutable std::mutex mu_;
   std::condition_variable ready_cv_;
   std::deque<Completion> done_;
-};
-
-/// Epoch-keyed (s, t) distance memo shared by every submission path.
-/// Invalidation is free: the serving epoch is part of the key, so a
-/// published epoch's entries simply stop matching (the snapshot's epoch
-/// id is unique for the engine's lifetime — it doubles as the pointer
-/// identity of the published snapshot). Direct-mapped, fixed-size,
-/// wait-free on both paths: slots are version-validated sequences of
-/// relaxed atomics (a torn read fails validation and reads as a miss),
-/// so lookups never lock and a contended insert is simply dropped.
-class ResultCache {
- public:
-  /// A cache with capacity for `entries` (s, t) pairs, rounded up to a
-  /// power of two. 0 disables the cache (Lookup always misses, Insert
-  /// is a no-op, no memory is allocated).
-  explicit ResultCache(size_t entries);
-
-  /// False iff constructed with 0 entries.
-  bool enabled() const { return mask_ != 0 || slots_ != nullptr; }
-
-  /// True iff the cache holds the exact distance for (s, t) under epoch
-  /// `epoch`; writes it to `*distance`. Counts one lookup (and one hit
-  /// on success).
-  bool Lookup(Vertex s, Vertex t, uint64_t epoch, Weight* distance) const;
-
-  /// Records the exact distance for (s, t) under `epoch`, overwriting
-  /// whatever occupied the slot. Dropped silently when another thread
-  /// is mid-insert on the same slot.
-  void Insert(Vertex s, Vertex t, uint64_t epoch, Weight distance);
-
-  /// Probes so far (relaxed; monitoring only).
-  uint64_t lookups() const {
-    return lookups_.load(std::memory_order_relaxed);
-  }
-  /// Probes answered from the cache so far.
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-
-  /// Zeroes the hit/lookup counters (entries stay valid: they are
-  /// epoch-keyed, so stale ones can never serve a wrong answer).
-  void ResetCounters();
-
- private:
-  struct Slot {
-    // Even = stable, odd = an insert is in flight. Readers re-validate
-    // the version after loading the payload; all fields are atomics so
-    // the scheme is data-race-free (TSan-clean) and a torn read can
-    // only produce a miss, never a wrong hit.
-    std::atomic<uint64_t> version{0};
-    std::atomic<uint64_t> key{~uint64_t{0}};
-    std::atomic<uint64_t> epoch{0};
-    std::atomic<uint32_t> distance{0};
-  };
-
-  size_t mask_ = 0;
-  std::unique_ptr<Slot[]> slots_;
-  mutable std::atomic<uint64_t> lookups_{0};
-  mutable std::atomic<uint64_t> hits_{0};
 };
 
 /// The serving-side counter block shared by every engine: relaxed
@@ -611,24 +559,14 @@ struct ServingCoreOptions {
   ServingOptions serving;
 };
 
-/// Detects Policy::kAsyncRoute (false when absent): async policies
-/// route via RouteAsync/RouteSpanAsync continuations instead of
-/// blocking Route/RouteSpan calls on the reader thread.
-template <typename Policy, typename = void>
-struct PolicyRoutesAsync : std::false_type {};
-
-/// Specialization picked when the policy declares kAsyncRoute.
-template <typename Policy>
-struct PolicyRoutesAsync<Policy, std::void_t<decltype(Policy::kAsyncRoute)>>
-    : std::bool_constant<Policy::kAsyncRoute> {};
-
-/// The one serving core both engines are built on. Owns the reader
-/// pool, the single-writer update queue, the snapshot slot, the result
-/// cache and the counters; the Policy supplies what differs between
-/// engines — how a coalesced batch is applied and published (Apply
-/// side) and how a query is routed on a snapshot (Route side).
+/// The one serving core both engines (and the router) are built on.
+/// Owns the reader pool, the single-writer update queue, the snapshot
+/// slot, the result cache and the counters; the Policy supplies what
+/// differs between them — how a coalesced batch is applied and
+/// published (Apply side) and how a query is routed on a snapshot
+/// (Route side).
 ///
-/// Policy requirements:
+/// Policy requirements, Apply side:
 ///   using Snapshot / Result   — the published epoch type (must expose
 ///       a uint64_t `epoch`) and the per-query result type (must expose
 ///       distance / epoch / latency_micros / snapshot / code fields).
@@ -639,43 +577,35 @@ struct PolicyRoutesAsync<Policy, std::void_t<decltype(Policy::kAsyncRoute)>>
 ///       the master state and Publish() the next snapshot (writer
 ///       thread only).
 ///   uint32_t NumEdges()       — update validation bound.
-///   Weight Route(const Snapshot&, Vertex, Vertex, StatusCode* code) —
-///       answer one query. *code is pre-set to kOk; a policy whose
-///       routing can fail (the distributed router) writes the failure
-///       code and returns kInfDistance. In-process policies never
-///       touch it.
-///   static constexpr bool kGroupsBatches — whether batch misses are
-///       sorted by BatchSortKey before chunking.
-///   uint64_t BatchSortKey(const Snapshot&, const QueryPair&) — the
-///       grouping key (cell pair, target) for batched routing.
-///   void RouteSpan(const Snapshot&, const QueryPair* queries,
-///                  const uint32_t* idx, size_t count, Weight* out,
-///                  StatusCode* codes) —
-///       answer queries[idx[j]] into out[idx[j]] for j < count,
-///       reusing per-group state across the span. codes[idx[j]] is
-///       pre-set to kOk; written only on per-query routing failure.
 ///   void AugmentStats(EngineStats*) — engine-specific stats fields
 ///       (backend, resident bytes, shard rows).
+///   static constexpr bool kGroupsBatches — when true, batch misses are
+///       sorted by the free function `uint64_t BatchSortKey(const
+///       Snapshot&, const QueryPair&)` (found by argument-dependent
+///       lookup) and chunked along key boundaries, so a group's queries
+///       share one routing span.
 ///
-/// Async policies (static constexpr bool kAsyncRoute = true) replace
-/// Route/RouteSpan with continuation-passing variants — the reader
-/// thread that picks the query off the pool issues the request and
-/// returns immediately instead of parking until the answer arrives, so
-/// a fan-out of N remote RPCs blocks zero reader threads:
-///   void RouteAsync(std::shared_ptr<const Snapshot>, Vertex s, Vertex t,
-///                   std::function<void(Weight, StatusCode)> done) —
-///       answer one query; invoke `done` exactly once, inline or from
-///       any policy-owned thread.
-///   void RouteSpanAsync(std::shared_ptr<const Snapshot>,
-///                       const QueryPair* queries, const uint32_t* idx,
-///                       size_t count, Weight* out, StatusCode* codes,
-///                       std::function<void()> done) —
-///       async RouteSpan: fill out[idx[j]] / codes[idx[j]] for j <
-///       count, then invoke `done` exactly once. The arrays stay valid
-///       until `done` runs (the core keeps the ticket alive).
-/// The core tracks every issued continuation; its destructor waits for
-/// all of them after the pool drains, so `done` may always touch the
-/// arrays it was handed.
+/// Route side — one continuation-passing contract for every policy:
+///   RouteAsync(const Snapshot& snap, Vertex s, Vertex t, done) —
+///       answer one query, then invoke done(Weight, StatusCode) exactly
+///       once. A policy whose routing can fail (the distributed router)
+///       passes kUnavailable with kInfDistance.
+///   RouteSpanAsync(const Snapshot& snap, const QueryPair* queries,
+///                  const uint32_t* idx, size_t count, Weight* out,
+///                  StatusCode* codes, done) —
+///       answer queries[idx[j]] into out[idx[j]] for j < count, reusing
+///       per-group state across the span, then invoke done() exactly
+///       once. codes[idx[j]] is pre-set to kOk and written only on
+///       per-query routing failure.
+/// `done` pins `snap` (and, for a span, the arrays it was handed) until
+/// it runs, so a policy may read them up to that point without holding
+/// a reference of its own. In-process policies complete inline and take
+/// `done` as a template parameter, so their hot path pays no type
+/// erasure; the router converts it to a std::function (it is copyable)
+/// and invokes it from whichever thread lands the last reply, so a
+/// fan-out of N remote RPCs parks no reader thread. The core counts
+/// every issued route (BeginAsyncOp/EndAsyncOp) and its destructor
+/// waits for all of them after the pool drains.
 ///
 /// Thread-safety: Submit*/EnqueueUpdate*/Flush/Stats may be called from
 /// any thread. Destruction drains: every submitted query is answered
@@ -702,9 +632,9 @@ class ServingCore {
                        serving_.shutdown_drain_ms > 0),
         track_batches_(serving_.max_queued_batches > 0 ||
                        serving_.shutdown_drain_ms > 0),
-        cache_(options.result_cache_entries),
         pool_(options.num_query_threads) {
     STL_CHECK_GE(options_.max_batch_size, size_t{1});
+    cache_.Init(options.result_cache_entries, /*width=*/1);
   }
 
   /// Drains: answers every submitted query and applies every enqueued
@@ -731,15 +661,13 @@ class ServingCore {
     updates_.Stop();
     if (writer_.joinable()) writer_.join();  // drains pending updates
     pool_.Shutdown();  // answer every query already submitted
-    if constexpr (PolicyRoutesAsync<Policy>::value) {
-      // Async policies may still owe continuations for queries the
-      // drained pool tasks issued; every one touches ticket/result
-      // state this core hands out, so wait them all out before any
-      // member dies. The policy's transport must outlive this core
-      // (it does: the owning engine declares the core last).
-      std::unique_lock<std::mutex> lock(async_mu_);
-      async_cv_.wait(lock, [this] { return async_inflight_ == 0; });
-    }
+    // A policy may still owe continuations for routes the drained pool
+    // tasks issued (never an inline one); every one touches ticket or
+    // result state this core hands out, so wait them all out before any
+    // member dies. The policy's transport must outlive this core (it
+    // does: the owning engine declares the core last).
+    std::unique_lock<std::mutex> lock(async_mu_);
+    async_cv_.wait(lock, [this] { return async_inflight_ == 0; });
   }
 
   ServingCore(const ServingCore&) = delete;             ///< Not copyable.
@@ -766,101 +694,25 @@ class ServingCore {
   /// thread has answered it — or, under overload, when admission
   /// control sheds it (Result::code == kOverloaded) or `deadline`
   /// passes before a reader dequeues it (kDeadlineExceeded, without
-  /// consuming routing time). Compatibility adapter over the completion
-  /// machinery: allocates one promise per query — high-qps callers
-  /// should prefer SubmitBatch or the tagged sink paths.
+  /// consuming routing time). Compatibility adapter over SubmitOne:
+  /// allocates one promise per query — high-qps callers should prefer
+  /// SubmitBatch or the tagged sink paths.
   std::future<Result> Submit(QueryPair query,
                              Deadline deadline = kNoDeadline) {
     auto promise = std::make_shared<std::promise<Result>>();
     std::future<Result> result = promise->get_future();
-    const auto submitted = std::chrono::steady_clock::now();
-    // Completes the future without an answer (admission shed, expired
-    // deadline, or shutdown drain) — exactly once, via the unit claim.
-    auto finish_failed = [this, promise, submitted](StatusCode code) {
-      Result r;
-      r.distance = kInfDistance;
-      r.code = code;
-      std::shared_ptr<const Snapshot> snap = current_.load();
-      r.epoch = snap != nullptr ? snap->epoch : 0;
-      r.latency_micros = static_cast<double>(NanosSince(submitted)) / 1e3;
-      r.snapshot = std::move(snap);
-      promise->set_value(std::move(r));
-    };
-    std::shared_ptr<QueryAdmission> unit;
-    if (track_queries_) {
-      unit = std::make_shared<QueryAdmission>();
-      unit->fail = finish_failed;
-      if (!AdmitQuery(unit)) {
-        counters_.queries_shed.fetch_add(1, std::memory_order_relaxed);
-        finish_failed(StatusCode::kOverloaded);
-        return result;
-      }
-    }
-    const bool accepted = pool_.Enqueue(
-        [this, query, promise, submitted, deadline,
-         finish_failed = std::move(finish_failed),
-         unit = std::move(unit)] {
-          if (unit != nullptr) {
-            if (unit->claimed.exchange(true)) return;  // shed or drained
-            queued_queries_.fetch_sub(1, std::memory_order_relaxed);
-          }
-          if (deadline != kNoDeadline &&
-              std::chrono::steady_clock::now() >= deadline) {
-            counters_.queries_deadline_exceeded.fetch_add(
-                1, std::memory_order_relaxed);
-            finish_failed(StatusCode::kDeadlineExceeded);
-            return;
-          }
-          MaybeReaderDelay();
-          // The entire read path: one atomic load, then const reads on
-          // an immutable snapshot. Never blocks on maintenance work.
-          std::shared_ptr<const Snapshot> snap = current_.load();
-          if constexpr (PolicyRoutesAsync<Policy>::value) {
-            // Issue-and-return: the continuation finishes the promise
-            // whenever the policy answers; this reader is free now.
-            RouteWithCacheAsync(
-                snap, query.first, query.second,
-                [this, promise, submitted, snap](Weight d,
-                                                 StatusCode code) {
-                  Result r;
-                  r.distance = d;
-                  r.code = code;
-                  r.epoch = snap->epoch;
-                  const uint64_t nanos = NanosSince(submitted);
-                  r.latency_micros = static_cast<double>(nanos) / 1e3;
-                  r.snapshot = snap;
-                  if (code == StatusCode::kOk) {
-                    counters_.latency.Record(nanos);
-                    counters_.queries_served.fetch_add(
-                        1, std::memory_order_relaxed);
-                  } else {
-                    counters_.queries_unavailable.fetch_add(
-                        1, std::memory_order_relaxed);
-                  }
-                  promise->set_value(std::move(r));
-                });
-          } else {
-            Result r;
-            StatusCode code = StatusCode::kOk;
-            r.distance =
-                RouteWithCache(*snap, query.first, query.second, &code);
-            r.code = code;
-            r.epoch = snap->epoch;
-            const uint64_t nanos = NanosSince(submitted);
-            r.latency_micros = static_cast<double>(nanos) / 1e3;
-            r.snapshot = std::move(snap);
-            if (code == StatusCode::kOk) {
-              counters_.latency.Record(nanos);
-              counters_.queries_served.fetch_add(
-                  1, std::memory_order_relaxed);
-            } else {
-              counters_.queries_unavailable.fetch_add(
-                  1, std::memory_order_relaxed);
-            }
-            promise->set_value(std::move(r));
-          }
-        });
-    STL_CHECK(accepted) << "Submit() on a shut-down engine";
+    SubmitOne(query, deadline,
+              [promise](Weight d, StatusCode code,
+                        std::shared_ptr<const Snapshot> snap,
+                        uint64_t nanos) {
+                Result r;
+                r.distance = d;
+                r.code = code;
+                r.epoch = snap != nullptr ? snap->epoch : 0;
+                r.latency_micros = static_cast<double>(nanos) / 1e3;
+                r.snapshot = std::move(snap);
+                promise->set_value(std::move(r));
+              });
     return result;
   }
 
@@ -881,94 +733,18 @@ class ServingCore {
   /// Completion-queue mode, single query: no promise, no future — the
   /// completion is delivered to `sink` exactly once with the caller's
   /// tag, whether the query was answered (code kOk), shed by admission
-  /// control or the shutdown drain (kOverloaded), or expired at dequeue
-  /// (kDeadlineExceeded).
+  /// control or the shutdown drain (kOverloaded), expired at dequeue
+  /// (kDeadlineExceeded) or failed by the policy (kUnavailable).
   void SubmitTagged(QueryPair query, uint64_t tag, CompletionSink* sink,
                     Deadline deadline = kNoDeadline) {
     STL_CHECK(sink != nullptr);
-    const auto submitted = std::chrono::steady_clock::now();
-    // Delivers the tag without an answer — exactly once, via the claim.
-    auto finish_failed = [this, tag, sink, submitted](StatusCode code) {
-      Completion done;
-      done.tag = tag;
-      done.code = code;
-      std::shared_ptr<const Snapshot> snap = current_.load();
-      done.epoch = snap != nullptr ? snap->epoch : 0;
-      done.latency_micros = static_cast<double>(NanosSince(submitted)) / 1e3;
-      DeliverCompletion(sink, done);
-    };
-    std::shared_ptr<QueryAdmission> unit;
-    if (track_queries_) {
-      unit = std::make_shared<QueryAdmission>();
-      unit->fail = finish_failed;
-      if (!AdmitQuery(unit)) {
-        counters_.queries_shed.fetch_add(1, std::memory_order_relaxed);
-        finish_failed(StatusCode::kOverloaded);
-        return;
-      }
-    }
-    const bool accepted = pool_.Enqueue(
-        [this, query, tag, sink, submitted, deadline,
-         finish_failed = std::move(finish_failed),
-         unit = std::move(unit)] {
-          if (unit != nullptr) {
-            if (unit->claimed.exchange(true)) return;  // shed or drained
-            queued_queries_.fetch_sub(1, std::memory_order_relaxed);
-          }
-          if (deadline != kNoDeadline &&
-              std::chrono::steady_clock::now() >= deadline) {
-            counters_.queries_deadline_exceeded.fetch_add(
-                1, std::memory_order_relaxed);
-            finish_failed(StatusCode::kDeadlineExceeded);
-            return;
-          }
-          MaybeReaderDelay();
-          std::shared_ptr<const Snapshot> snap = current_.load();
-          if constexpr (PolicyRoutesAsync<Policy>::value) {
-            const uint64_t epoch = snap->epoch;
-            RouteWithCacheAsync(
-                std::move(snap), query.first, query.second,
-                [this, tag, sink, submitted, epoch](Weight d,
-                                                    StatusCode code) {
-                  Completion done;
-                  done.tag = tag;
-                  done.distance = d;
-                  done.code = code;
-                  done.epoch = epoch;
-                  const uint64_t nanos = NanosSince(submitted);
-                  done.latency_micros = static_cast<double>(nanos) / 1e3;
-                  if (code == StatusCode::kOk) {
-                    counters_.latency.Record(nanos);
-                    counters_.queries_served.fetch_add(
-                        1, std::memory_order_relaxed);
-                  } else {
-                    counters_.queries_unavailable.fetch_add(
-                        1, std::memory_order_relaxed);
-                  }
-                  DeliverCompletion(sink, done);
-                });
-          } else {
-            Completion done;
-            done.tag = tag;
-            StatusCode code = StatusCode::kOk;
-            done.distance =
-                RouteWithCache(*snap, query.first, query.second, &code);
-            done.code = code;
-            done.epoch = snap->epoch;
-            const uint64_t nanos = NanosSince(submitted);
-            done.latency_micros = static_cast<double>(nanos) / 1e3;
-            if (code == StatusCode::kOk) {
-              counters_.latency.Record(nanos);
-              counters_.queries_served.fetch_add(
-                  1, std::memory_order_relaxed);
-            } else {
-              counters_.queries_unavailable.fetch_add(
-                  1, std::memory_order_relaxed);
-            }
-            DeliverCompletion(sink, done);
-          }
-        });
-    STL_CHECK(accepted) << "SubmitTagged() on a shut-down engine";
+    SubmitOne(query, deadline,
+              [this, tag, sink](Weight d, StatusCode code,
+                                std::shared_ptr<const Snapshot> snap,
+                                uint64_t nanos) {
+                DeliverCompletion(sink, tag, d, code,
+                                  snap != nullptr ? snap->epoch : 0, nanos);
+              });
   }
 
   /// Completion-queue mode, batched: pins one snapshot like
@@ -1039,11 +815,7 @@ class ServingCore {
     s.queued_queries = queued_queries_.load(std::memory_order_relaxed);
     s.result_cache_lookups = cache_.lookups();
     s.result_cache_hits = cache_.hits();
-    s.result_cache_hit_rate =
-        s.result_cache_lookups > 0
-            ? static_cast<double>(s.result_cache_hits) /
-                  static_cast<double>(s.result_cache_lookups)
-            : 0;
+    s.result_cache_hit_rate = cache_.hit_rate();
     policy_->AugmentStats(&s);
     return s;
   }
@@ -1074,56 +846,106 @@ class ServingCore {
             .count());
   }
 
-  /// One query on `snap`, consulting the result cache around the
-  /// policy's router. *code is pre-set kOk; only a failed routing
-  /// attempt (routed-mode replica exhaustion) writes it, and failed
-  /// answers are never cached — a retry on the same epoch may succeed.
-  Weight RouteWithCache(const Snapshot& snap, Vertex s, Vertex t,
-                        StatusCode* code) {
-    Weight d;
-    *code = StatusCode::kOk;
-    if (cache_.enabled() && cache_.Lookup(s, t, snap.epoch, &d)) return d;
-    d = policy_->Route(snap, s, t, code);
-    if (cache_.enabled() && *code == StatusCode::kOk) {
-      cache_.Insert(s, t, snap.epoch, d);
+  /// The one per-query path behind Submit and SubmitTagged; they
+  /// differ only in `deliver(distance, code, snapshot, nanos)`, which
+  /// runs exactly once per query: answered or unavailable (with the
+  /// serving snapshot), or shed / expired / drained without an answer
+  /// (with the then-current snapshot).
+  template <typename Deliver>
+  void SubmitOne(QueryPair query, Deadline deadline, Deliver deliver) {
+    const auto submitted = std::chrono::steady_clock::now();
+    // Completes the query without an answer (admission shed, expired
+    // deadline, or shutdown drain) — exactly once, via the unit claim.
+    auto fail = [this, deliver, submitted](StatusCode code) {
+      deliver(kInfDistance, code, current_.load(), NanosSince(submitted));
+    };
+    std::shared_ptr<QueryAdmission> unit;
+    if (track_queries_) {
+      unit = std::make_shared<QueryAdmission>();
+      unit->fail = fail;
+      if (!AdmitQuery(unit)) {
+        counters_.queries_shed.fetch_add(1, std::memory_order_relaxed);
+        fail(StatusCode::kOverloaded);
+        return;
+      }
     }
-    return d;
+    const bool accepted = pool_.Enqueue(
+        [this, query, submitted, deadline, deliver = std::move(deliver),
+         fail = std::move(fail), unit = std::move(unit)]() mutable {
+          if (unit != nullptr) {
+            if (unit->claimed.exchange(true)) return;  // shed or drained
+            queued_queries_.fetch_sub(1, std::memory_order_relaxed);
+          }
+          if (deadline != kNoDeadline &&
+              std::chrono::steady_clock::now() >= deadline) {
+            counters_.queries_deadline_exceeded.fetch_add(
+                1, std::memory_order_relaxed);
+            fail(StatusCode::kDeadlineExceeded);
+            return;
+          }
+          MaybeReaderDelay();
+          // The entire read path: one atomic load, then const reads on
+          // an immutable snapshot. Never blocks on maintenance work. The
+          // continuation owns the pin, so a policy that answers later
+          // can keep reading `pinned` until it calls back.
+          std::shared_ptr<const Snapshot> snap = current_.load();
+          const Snapshot& pinned = *snap;
+          RouteWithCache(
+              pinned, query.first, query.second,
+              [this, submitted, snap = std::move(snap),
+               deliver = std::move(deliver)](Weight d,
+                                             StatusCode code) mutable {
+                const uint64_t nanos = NanosSince(submitted);
+                if (code == StatusCode::kOk) {
+                  counters_.latency.Record(nanos);
+                  counters_.queries_served.fetch_add(
+                      1, std::memory_order_relaxed);
+                } else {
+                  counters_.queries_unavailable.fetch_add(
+                      1, std::memory_order_relaxed);
+                }
+                deliver(d, code, std::move(snap), nanos);
+              });
+        });
+    STL_CHECK(accepted) << "query submitted to a shut-down engine";
   }
 
-  /// Async counterpart of RouteWithCache: a cache hit answers `done`
-  /// inline; a miss issues Policy::RouteAsync and the continuation
-  /// fills the cache before forwarding the verdict. `done` runs exactly
-  /// once, inline or from a policy thread.
+  /// One query on `snap`, consulting the result cache around the
+  /// policy's RouteAsync: a hit answers `done` inline; a miss routes,
+  /// and the continuation fills the cache before forwarding the
+  /// verdict. Failed answers are never cached — a retry on the same
+  /// epoch may succeed. `done` runs exactly once.
   template <typename Done>
-  void RouteWithCacheAsync(std::shared_ptr<const Snapshot> snap, Vertex s,
-                           Vertex t, Done done) {
+  void RouteWithCache(const Snapshot& snap, Vertex s, Vertex t,
+                      Done&& done) {
+    const uint64_t key = SlotCache::PairKey(s, t);
     Weight d;
-    if (cache_.enabled() && cache_.Lookup(s, t, snap->epoch, &d)) {
+    if (cache_.enabled() && cache_.Lookup(key, snap.epoch, 1, &d)) {
       done(d, StatusCode::kOk);
       return;
     }
     BeginAsyncOp();
-    const uint64_t epoch = snap->epoch;
     policy_->RouteAsync(
-        std::move(snap), s, t,
-        [this, s, t, epoch, done = std::move(done)](Weight d,
-                                                    StatusCode code) {
+        snap, s, t,
+        [this, key, epoch = snap.epoch,
+         done = std::forward<Done>(done)](Weight d,
+                                          StatusCode code) mutable {
           if (cache_.enabled() && code == StatusCode::kOk) {
-            cache_.Insert(s, t, epoch, d);
+            cache_.Insert(key, epoch, 1, &d);
           }
           done(d, code);
           EndAsyncOp();
         });
   }
 
-  /// Registers one issued async continuation (async policies only).
-  /// The destructor waits for the matching EndAsyncOp of every Begin.
+  /// Registers one issued route continuation. The destructor waits for
+  /// the matching EndAsyncOp of every Begin.
   void BeginAsyncOp() {
     std::lock_guard<std::mutex> lock(async_mu_);
     ++async_inflight_;
   }
 
-  /// Retires one async continuation; wakes the destructor on the last.
+  /// Retires one route continuation; wakes the destructor on the last.
   /// The notify happens UNDER async_mu_ on purpose: the destructor's
   /// predicate wait can only return once it reacquires the mutex, which
   /// serializes cv destruction after this broadcast finishes (notifying
@@ -1177,18 +999,15 @@ class ServingCore {
     size_t hits = 0;
     for (uint32_t i = 0; i < queries.size(); ++i) {
       Weight d;
-      if (cache_.enabled() && cache_.Lookup(queries[i].first,
-                                            queries[i].second, epoch, &d)) {
+      if (cache_.enabled() &&
+          cache_.Lookup(SlotCache::PairKey(queries[i].first,
+                                           queries[i].second),
+                        epoch, 1, &d)) {
         state->distances[i] = d;
         ++hits;
         if (sink != nullptr) {
-          Completion done;
-          done.tag = state->tags[i];
-          done.distance = d;
-          done.epoch = epoch;
-          done.latency_micros =
-              static_cast<double>(NanosSince(state->submitted)) / 1e3;
-          DeliverCompletion(sink, done);
+          DeliverCompletion(sink, state->tags[i], d, StatusCode::kOk, epoch,
+                            NanosSince(state->submitted));
         }
       } else {
         state->order.push_back(i);
@@ -1204,35 +1023,37 @@ class ServingCore {
     // the same routing chunk, where the policy reuses per-group rows).
     // `keys` stays aligned with the sorted order for the chunker below.
     std::vector<uint64_t> keys;
-    if (Policy::kGroupsBatches && state->order.size() > 1) {
-      const Snapshot& snap = *state->snapshot;
-      keys.resize(state->order.size());
-      for (size_t j = 0; j < state->order.size(); ++j) {
-        keys[j] = policy_->BatchSortKey(snap,
-                                        state->queries[state->order[j]]);
+    if constexpr (Policy::kGroupsBatches) {
+      if (state->order.size() > 1) {
+        const Snapshot& snap = *state->snapshot;
+        keys.resize(state->order.size());
+        for (size_t j = 0; j < state->order.size(); ++j) {
+          keys[j] = BatchSortKey(snap, state->queries[state->order[j]]);
+        }
+        std::vector<uint32_t> by_key(state->order.size());
+        for (uint32_t j = 0; j < by_key.size(); ++j) by_key[j] = j;
+        std::stable_sort(by_key.begin(), by_key.end(),
+                         [&keys](uint32_t a, uint32_t b) {
+                           return keys[a] < keys[b];
+                         });
+        std::vector<uint32_t> sorted(state->order.size());
+        std::vector<uint64_t> sorted_keys(state->order.size());
+        for (size_t j = 0; j < by_key.size(); ++j) {
+          sorted[j] = state->order[by_key[j]];
+          sorted_keys[j] = keys[by_key[j]];
+        }
+        state->order.swap(sorted);
+        keys.swap(sorted_keys);
       }
-      std::vector<uint32_t> by_key(state->order.size());
-      for (uint32_t j = 0; j < by_key.size(); ++j) by_key[j] = j;
-      std::stable_sort(by_key.begin(), by_key.end(),
-                       [&keys](uint32_t a, uint32_t b) {
-                         return keys[a] < keys[b];
-                       });
-      std::vector<uint32_t> sorted(state->order.size());
-      std::vector<uint64_t> sorted_keys(state->order.size());
-      for (size_t j = 0; j < by_key.size(); ++j) {
-        sorted[j] = state->order[by_key[j]];
-        sorted_keys[j] = keys[by_key[j]];
-      }
-      state->order.swap(sorted);
-      keys.swap(sorted_keys);
     }
 
     // Chunk the misses across the pool along GROUP boundaries: the
-    // policy's RouteSpan reuses per-group state only within one chunk,
-    // so a boundary inside a group forfeits that reuse and recomputes
-    // the group row in both halves. Chunks grow to ~misses/threads and
-    // then extend to the next group edge (a single group larger than
-    // the target stays whole; a group-free policy chunks evenly).
+    // policy's RouteSpanAsync reuses per-group state only within one
+    // chunk, so a boundary inside a group forfeits that reuse and
+    // recomputes the group row in both halves. Chunks grow to
+    // ~misses/threads and then extend to the next group edge (a single
+    // group larger than the target stays whole; a group-free policy
+    // chunks evenly).
     const size_t misses = state->order.size();
     const size_t threads =
         std::max<size_t>(static_cast<size_t>(pool_.num_threads()), 1);
@@ -1286,7 +1107,7 @@ class ServingCore {
       batch_fifo_.push_back(state);
     }
     for (size_t c = 0; c < num_chunks; ++c) {
-      const bool accepted = pool_.Enqueue([this, state, c] {
+      const bool accepted = pool_.Enqueue([this, state, c]() mutable {
         if (state->chunk_claimed != nullptr &&
             state->chunk_claimed[c].exchange(true)) {
           return;  // shed by admission control or the shutdown drain
@@ -1301,14 +1122,20 @@ class ServingCore {
           return;
         }
         MaybeReaderDelay();
-        if constexpr (PolicyRoutesAsync<Policy>::value) {
-          // Issue the whole span and return this reader to the pool;
-          // the continuation finishes the chunk when the answers land.
-          RunBatchChunkAsync(state, begin, end);
-        } else {
-          RunBatchChunk(*state, begin, end);
-          CompleteChunk(*state);
-        }
+        // Route the span; the continuation (which keeps the ticket
+        // alive) finishes the chunk whenever the answers land — inline
+        // for an in-process policy, later for the router, whose reader
+        // is back in the pool by then.
+        TicketState& st = *state;
+        BeginAsyncOp();
+        policy_->RouteSpanAsync(
+            *st.snapshot, st.queries.data(), st.order.data() + begin,
+            end - begin, st.distances.data(), st.codes.data(),
+            [this, state = std::move(state), begin, end] {
+              FinishBatchChunk(*state, begin, end);
+              CompleteChunk(*state);
+              EndAsyncOp();
+            });
       });
       STL_CHECK(accepted) << "SubmitBatch() on a shut-down engine";
     }
@@ -1334,42 +1161,12 @@ class ServingCore {
     state->sink = sink;
     if (sink != nullptr) {
       for (size_t i = 0; i < state->tags.size(); ++i) {
-        Completion done;
-        done.tag = state->tags[i];
-        done.code = StatusCode::kOverloaded;
-        done.epoch = state->snapshot->epoch;
-        DeliverCompletion(sink, done);
+        DeliverCompletion(sink, state->tags[i], kInfDistance,
+                          StatusCode::kOverloaded, state->snapshot->epoch,
+                          /*nanos=*/0);
       }
     }
     return Ticket(std::move(state));
-  }
-
-  /// Routes state.order[begin..end) through the policy, fills the
-  /// cache, records latency and delivers completions. Chunks touch
-  /// disjoint distance slots, so no lock is needed for the answers.
-  void RunBatchChunk(TicketState& state, size_t begin, size_t end) {
-    const size_t count = end - begin;
-    policy_->RouteSpan(*state.snapshot, state.queries.data(),
-                       state.order.data() + begin, count,
-                       state.distances.data(), state.codes.data());
-    FinishBatchChunk(state, begin, end);
-  }
-
-  /// Async-policy counterpart of RunBatchChunk + CompleteChunk: issues
-  /// the span and returns; the continuation (holding the ticket alive)
-  /// runs the bookkeeping whenever the policy answers.
-  void RunBatchChunkAsync(const std::shared_ptr<TicketState>& state,
-                          size_t begin, size_t end) {
-    BeginAsyncOp();
-    const size_t count = end - begin;
-    policy_->RouteSpanAsync(
-        state->snapshot, state->queries.data(),
-        state->order.data() + begin, count, state->distances.data(),
-        state->codes.data(), [this, state, begin, end] {
-          FinishBatchChunk(*state, begin, end);
-          CompleteChunk(*state);
-          EndAsyncOp();
-        });
   }
 
   /// The post-routing half of a chunk: cache fills, latency/served
@@ -1386,7 +1183,8 @@ class ServingCore {
       const StatusCode code = state.codes[i];
       if (code == StatusCode::kOk) {
         if (cache_.enabled()) {
-          cache_.Insert(q.first, q.second, epoch, state.distances[i]);
+          cache_.Insert(SlotCache::PairKey(q.first, q.second), epoch, 1,
+                        &state.distances[i]);
         }
         counters_.latency.Record(nanos);
         ++served;
@@ -1395,13 +1193,8 @@ class ServingCore {
                                                 std::memory_order_relaxed);
       }
       if (state.sink != nullptr) {
-        Completion done;
-        done.tag = state.tags[i];
-        done.distance = state.distances[i];
-        done.epoch = epoch;
-        done.code = code;
-        done.latency_micros = static_cast<double>(nanos) / 1e3;
-        DeliverCompletion(state.sink, done);
+        DeliverCompletion(state.sink, state.tags[i], state.distances[i],
+                          code, epoch, nanos);
       }
     }
     counters_.queries_served.fetch_add(served, std::memory_order_relaxed);
@@ -1420,12 +1213,8 @@ class ServingCore {
       state.distances[i] = kInfDistance;
       state.codes[i] = code;
       if (state.sink != nullptr) {
-        Completion done;
-        done.tag = state.tags[i];
-        done.code = code;
-        done.epoch = state.snapshot->epoch;
-        done.latency_micros = static_cast<double>(nanos) / 1e3;
-        DeliverCompletion(state.sink, done);
+        DeliverCompletion(state.sink, state.tags[i], kInfDistance, code,
+                          state.snapshot->epoch, nanos);
       }
     }
     CompleteChunk(state);
@@ -1606,12 +1395,20 @@ class ServingCore {
     }
   }
 
-  /// The one path every completion takes to a caller sink. When
+  /// Builds a Completion and hands it to a caller sink: the one path
+  /// every completion takes (`nanos` is its submit-to-now latency). When
   /// FaultSite::kCompletionDropCandidate fires, the first delivery
   /// attempt is treated as dropped (and counted); the exactly-once
   /// retry then delivers it anyway — the invariant is exercised, never
   /// broken.
-  void DeliverCompletion(CompletionSink* sink, const Completion& done) {
+  void DeliverCompletion(CompletionSink* sink, uint64_t tag, Weight d,
+                         StatusCode code, uint64_t epoch, uint64_t nanos) {
+    Completion done;
+    done.tag = tag;
+    done.distance = d;
+    done.epoch = epoch;
+    done.latency_micros = static_cast<double>(nanos) / 1e3;
+    done.code = code;
     if (faults_ != nullptr &&
         faults_->Fire(FaultSite::kCompletionDropCandidate)) {
       counters_.completions_retried.fetch_add(1,
@@ -1696,7 +1493,8 @@ class ServingCore {
   UpdateQueue updates_;
 
   ServingCounters counters_;
-  ResultCache cache_;
+  // The epoch-keyed (s, t) result memo: the slot cache's width-1 case.
+  SlotCache cache_;
 
   // Admission state: FIFOs of claimable work (pruned lazily) plus the
   // point-in-time depth counters the bounds are enforced against.
@@ -1706,8 +1504,8 @@ class ServingCore {
   std::atomic<uint64_t> queued_queries_{0};
   std::atomic<uint64_t> inflight_batches_{0};
 
-  // Outstanding async-policy continuations (see BeginAsyncOp); the
-  // destructor waits for zero after the pool drains.
+  // Outstanding route continuations (see BeginAsyncOp); the destructor
+  // waits for zero after the pool drains.
   std::mutex async_mu_;
   std::condition_variable async_cv_;
   uint64_t async_inflight_ = 0;  // guarded by async_mu_

@@ -15,7 +15,7 @@
 // The serving plumbing (pool, update queue, snapshot slot, batch and
 // completion submission, result cache, stats) is the shared ServingCore
 // of engine/serving_core.h; this file contributes the sharded policy:
-// apply-batch = per-cell repair + overlay rebuild, route = the shard
+// apply-batch = per-cell repair + overlay rebuild, route = the cell
 // decomposition below.
 //
 // Construction: PartitionCells (partition/cells.h) cuts the graph into
@@ -41,13 +41,15 @@
 // split it into shard-local prefix/suffix plus a boundary-to-boundary
 // middle, and D is exact for the middle (index/overlay.h).
 //
-// Batched routing (SubmitBatch): the batch is pinned to one snapshot,
-// grouped by (source cell, target cell, target), and the ds/dt
-// boundary-distance rows are memoised per endpoint across the group —
-// plus one shared inner vector min_{b2} D[b1][b2] + dt[b2] per group
-// target, computed through OverlayTable::MinPlusRowsInto. Same minima,
-// same arithmetic: answers are bit-identical to per-query routing on
-// the pinned epoch (asserted in tests/sharded_engine_test.cc and the
+// Routing (per query and batched alike) is the one cell decomposition
+// of engine/cell_route.h over the in-process row source: ds/dt rows
+// come from the engine-lifetime boundary-row cache or are computed on
+// the pinned shard views, memoised per routing span. SubmitBatch pins
+// one snapshot and groups the misses by (source cell, target cell,
+// target), so each group's inner vector min_{b2} D[b1][b2] + dt[b2] is
+// computed once through OverlayTable::MinPlusRowsInto. Answers are
+// bit-identical to the uncached reference ShardedSnapshot::Query on the
+// pinned epoch (asserted in tests/sharded_engine_test.cc and the
 // bench_sharded_scaling --check guard).
 //
 // Update locality: a batch that only touches edges inside cell i
@@ -100,7 +102,10 @@ struct ShardedSnapshot {
   std::shared_ptr<const OverlayTable> overlay;
 
   /// Exact distance under this epoch's weights; kInfDistance when
-  /// unreachable. Thread-safe for concurrent readers.
+  /// unreachable. Thread-safe for concurrent readers. Uncached, and
+  /// formulated independently of the serving decomposition
+  /// (engine/cell_route.h): it is the reference that tests and audits
+  /// compare served answers against.
   Weight Query(Vertex s, Vertex t) const;
 };
 
@@ -188,70 +193,6 @@ struct ShardedEngineOptions {
   /// stall watchdog, bounded shutdown drain, fault injection). Defaults
   /// to everything off — the pre-hardening behaviour.
   ServingOptions serving;
-};
-
-/// Shard-epoch-keyed cache of shard-to-boundary distance rows: the
-/// batched router's per-batch ds/dt row memo promoted to an
-/// engine-lifetime cache shared across batches AND per-query routing.
-/// Fixed power-of-two slot array, each slot a seqlock-style
-/// version-validated record (even version = stable, odd = mid-write)
-/// with a row payload of up to max |S_i| weights — the same
-/// torn-read-degrades-to-miss protocol as ServingCore's ResultCache,
-/// so concurrent readers and writers never block and a torn slot is
-/// simply a miss. Entries are validated by (shard, vertex,
-/// shard_epoch): a shard republish invalidates exactly that shard's
-/// rows, and rows of clean shards stay hot across global epochs.
-class BoundaryRowCache {
- public:
-  /// A disabled cache; Init() arms it.
-  BoundaryRowCache() = default;
-
-  /// Sizes the cache: `entries` slots (rounded up to a power of two),
-  /// each holding up to `max_width` weights (the largest |S_i| of the
-  /// layout). entries == 0 or max_width == 0 leaves it disabled.
-  void Init(size_t entries, uint32_t max_width);
-
-  /// True once Init() armed the cache.
-  bool enabled() const { return slots_ != nullptr; }
-
-  /// True iff the cache holds vertex `v`'s boundary row for shard
-  /// `shard` at `shard_epoch`; copies `width` weights into `out`.
-  /// `width` must be shard's |S_i| (<= Init's max_width).
-  bool Lookup(uint32_t shard, uint64_t shard_epoch, Vertex v,
-              uint32_t width, Weight* out) const;
-
-  /// Publishes vertex `v`'s boundary row; silently dropped when the
-  /// slot is mid-write by another thread.
-  void Insert(uint32_t shard, uint64_t shard_epoch, Vertex v,
-              uint32_t width, const Weight* row);
-
-  /// Row probes so far (relaxed).
-  uint64_t lookups() const {
-    return lookups_.load(std::memory_order_relaxed);
-  }
-  /// Probes answered from the cache (relaxed).
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  /// Zeroes the probe counters (ResetStats; the entries stay valid).
-  void ResetCounters() {
-    lookups_.store(0, std::memory_order_relaxed);
-    hits_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  /// One seqlock-protected cache record; the row payload lives in the
-  /// flat rows_ array at this slot's offset.
-  struct Slot {
-    std::atomic<uint64_t> version{0};       // even = stable, odd = writing
-    std::atomic<uint64_t> key{~uint64_t{0}};  // (vertex << 32) | shard
-    std::atomic<uint64_t> epoch{0};         // shard_epoch of the row
-  };
-
-  size_t mask_ = 0;
-  uint32_t max_width_ = 0;
-  std::unique_ptr<Slot[]> slots_;
-  std::unique_ptr<std::atomic<Weight>[]> rows_;
-  mutable std::atomic<uint64_t> lookups_{0};
-  mutable std::atomic<uint64_t> hits_{0};
 };
 
 /// Concurrent sharded serving engine: the partitioned Apply + Route
@@ -366,13 +307,30 @@ class ShardedEngine {
     Weight ResolveOldWeight(EdgeId e) const;
     void ApplyBatch(const UpdateBatch& batch);
     uint32_t NumEdges() const;
-    Weight Route(const ShardedSnapshot& snap, Vertex s, Vertex t,
-                 StatusCode* code) const;
-    uint64_t BatchSortKey(const ShardedSnapshot& snap,
-                          const QueryPair& q) const;
-    void RouteSpan(const ShardedSnapshot& snap, const QueryPair* queries,
-                   const uint32_t* idx, size_t count, Weight* out,
-                   StatusCode* codes) const;
+    // Routing completes inline through RouteLocal; a single query is a
+    // one-element span.
+    template <typename Done>
+    void RouteAsync(const ShardedSnapshot& snap, Vertex s, Vertex t,
+                    Done&& done) const {
+      const QueryPair query{s, t};
+      const uint32_t idx = 0;
+      Weight d = kInfDistance;
+      RouteLocal(snap, &query, &idx, 1, &d);
+      done(d, StatusCode::kOk);
+    }
+    template <typename Done>
+    void RouteSpanAsync(const ShardedSnapshot& snap,
+                        const QueryPair* queries, const uint32_t* idx,
+                        size_t count, Weight* out, StatusCode* /*codes*/,
+                        Done&& done) const {
+      RouteLocal(snap, queries, idx, count, out);
+      done();
+    }
+    // The shared cell decomposition (engine/cell_route.h) over the
+    // in-process row source: the shard views behind row_cache_ plus a
+    // per-span memo. In-process routing cannot fail.
+    void RouteLocal(const ShardedSnapshot& snap, const QueryPair* queries,
+                    const uint32_t* idx, size_t count, Weight* out) const;
     void AugmentStats(EngineStats* s) const;
   };
 
@@ -409,9 +367,11 @@ class ShardedEngine {
   uint64_t harvested_graph_chunks_ = 0;
   uint64_t harvested_graph_bytes_ = 0;
 
-  // Shard-epoch-keyed boundary-row cache, consulted by both routing
-  // paths (readers insert concurrently; lock-free seqlock slots).
-  BoundaryRowCache row_cache_;
+  // The boundary-row cache: a SlotCache of |S_i|-wide shard-to-boundary
+  // rows keyed (vertex, shard) and validated by shard_epoch, so rows of
+  // clean shards stay hot across global epochs. Shared by per-query and
+  // batched routing (readers insert concurrently; lock-free slots).
+  SlotCache row_cache_;
 
   // Sharded-only stats (the common block lives in the core's counters).
   std::atomic<uint64_t> overlay_nanos_{0};

@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
 #include <set>
 #include <thread>
 
+#include "engine/cell_route.h"
 #include "graph/dijkstra.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -501,6 +503,105 @@ TEST(ShardedEngineTest, DestructorDrainsInFlightWork) {
   for (auto& f : futures) {
     ShardedQueryResult r = f.get();  // must not hang or throw
     EXPECT_NE(r.snapshot, nullptr);
+  }
+}
+
+
+// A CellRouter row source over the snapshot's own shard views that has
+// lost exactly one (shard, vertex) row: one failed fetch inside an
+// otherwise healthy span.
+struct OneRowMissing {
+  const ShardedSnapshot* snap = nullptr;
+  uint32_t missing_shard = 0;
+  Vertex missing_vertex = 0;
+  std::map<std::pair<uint32_t, Vertex>, std::vector<Weight>> rows;
+
+  const std::vector<Weight>* Row(uint32_t shard, Vertex v) {
+    if (shard == missing_shard && v == missing_vertex) return nullptr;
+    auto [it, fresh] = rows.try_emplace({shard, v});
+    if (fresh) {
+      FillShardBoundaryRow(*snap->layout, shard, *snap->shards[shard]->view,
+                           v, &it->second);
+    }
+    return &it->second;
+  }
+
+  bool Point(Vertex s, Vertex t, Weight* d) {
+    const ShardLayout& lay = *snap->layout;
+    *d = snap->shards[lay.shard_of_vertex[s]]->view->Query(
+        lay.local_of_vertex[s], lay.local_of_vertex[t]);
+    return true;
+  }
+};
+
+TEST(ShardedEngineTest, CellRouteFailsOnlyQueriesNeedingAMissingRow) {
+  Graph g = testing_util::SmallRoadNetwork(8, 61);
+  const uint32_t n = g.NumVertices();
+  ShardedEngine engine(std::move(g), HierarchyOptions{},
+                       SmallShardedOptions(BackendKind::kStl, 4));
+  const std::shared_ptr<const ShardedSnapshot> snap = engine.CurrentSnapshot();
+  const ShardLayout& lay = *snap->layout;
+  ASSERT_GE(lay.num_shards(), 2u);
+
+  // Lose the row of the first cell (non-boundary) vertex.
+  Vertex missing = 0;
+  while (lay.shard_of_vertex[missing] == CellPartition::kBoundaryCell) {
+    ++missing;
+  }
+  OneRowMissing source;
+  source.snap = snap.get();
+  source.missing_shard = lay.shard_of_vertex[missing];
+  source.missing_vertex = missing;
+
+  // Every pair, routed as ONE span in BatchSortKey order so the
+  // memoised inner vector is reused across each group exactly as in
+  // batched serving.
+  std::vector<QueryPair> pairs;
+  for (Vertex s = 0; s < n; ++s) {
+    for (Vertex t = 0; t < n; ++t) pairs.push_back({s, t});
+  }
+  std::stable_sort(pairs.begin(), pairs.end(),
+                   [&](const QueryPair& a, const QueryPair& b) {
+                     return BatchSortKey(*snap, a) < BatchSortKey(*snap, b);
+                   });
+  std::vector<Weight> inner;
+  CellRouter<OneRowMissing> router(*snap, &source, &inner);
+
+  enum Case { kSelf, kBothBoundary, kOneBoundary, kSameCell, kGeneral };
+  std::map<std::pair<int, bool>, int> seen;  // (case, needs row) -> count
+  for (const QueryPair& q : pairs) {
+    const Vertex s = q.first;
+    const Vertex t = q.second;
+    const uint32_t cs = lay.shard_of_vertex[s];
+    const uint32_t ct = lay.shard_of_vertex[t];
+    const bool sb = cs == CellPartition::kBoundaryCell;
+    const bool tb = ct == CellPartition::kBoundaryCell;
+    const int kind = s == t         ? kSelf
+                     : sb && tb     ? kBothBoundary
+                     : sb || tb     ? kOneBoundary
+                     : cs == ct     ? kSameCell
+                                    : kGeneral;
+    // A cell endpoint's boundary row is an input of every case it takes
+    // part in; boundary endpoints and s == t need no row.
+    const bool needs = s != t && (s == missing || t == missing);
+    StatusCode code = StatusCode::kOk;
+    const Weight d = router.Route(s, t, &code);
+    if (needs) {
+      ASSERT_EQ(code, StatusCode::kUnavailable) << "s=" << s << " t=" << t;
+      ASSERT_EQ(d, kInfDistance) << "s=" << s << " t=" << t;
+    } else {
+      ASSERT_EQ(code, StatusCode::kOk) << "s=" << s << " t=" << t;
+      ASSERT_EQ(d, snap->Query(s, t)) << "s=" << s << " t=" << t;
+    }
+    ++seen[{kind, needs}];
+  }
+  // Every case ran on the healthy side, and the lost row failed queries
+  // of each case that reads a row.
+  for (int kind : {kSelf, kBothBoundary, kOneBoundary, kSameCell, kGeneral}) {
+    EXPECT_GT(seen[std::make_pair(kind, false)], 0) << "case " << kind;
+  }
+  for (int kind : {kOneBoundary, kSameCell, kGeneral}) {
+    EXPECT_GT(seen[std::make_pair(kind, true)], 0) << "case " << kind;
   }
 }
 
