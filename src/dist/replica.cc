@@ -97,6 +97,11 @@ std::vector<uint8_t> ShardReplica::Handle(const uint8_t* data,
                                  lay.local_of_vertex[req.v]);
       break;
     }
+    case WireKind::kInstall:
+      // Installs travel as InstallRequest, never as a ShardRequest
+      // (Decode already refuses the kind); treat it as malformed.
+      rejected_.fetch_add(1, std::memory_order_relaxed);
+      return Unavailable(req.shard, req.shard_epoch);
   }
   served_.fetch_add(1, std::memory_order_relaxed);
   return resp.Encode();

@@ -35,9 +35,9 @@ inline uint64_t PointKey(Vertex s, Vertex t) {
 
 // ------------------------------------------------------------ SpanFanout
 
-// The scatter-gather state of one routed span (a batch chunk, or a
-// single query in RouteAsync's one-element mode). It is also the row
-// source CellRouter (engine/cell_route.h) reads, in two phases:
+// The scatter-gather state of one routed span (a batch chunk or a
+// burst of point queries). It is also the row source CellRouter
+// (engine/cell_route.h) reads, in two phases:
 //
 //   scatter — run the span's decomposition over the still-empty slots:
 //     every Row/Point request pre-creates its slot (so the maps never
@@ -65,12 +65,6 @@ struct ShardRouter::SpanFanout
   Weight* out = nullptr;
   StatusCode* codes = nullptr;
   std::function<void()> done;
-
-  // Single-query mode (RouteAsync): the span pointers alias these.
-  QueryPair one_query{0, 0};
-  uint32_t one_idx = 0;
-  Weight one_out = kInfDistance;
-  StatusCode one_code = StatusCode::kOk;
 
   // (vertex << 32 | shard) -> fetched row; nullopt = not yet fetched,
   // replica-exhausted, or malformed width.
@@ -169,10 +163,9 @@ struct ShardRouter::SpanFanout
   void Arrive() {
     if (pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
     Compute();
-    // Run-and-release: `fn` may capture the ticket (or the single-mode
-    // result slots through `this`, which outlives the call because the
-    // invoking callback still holds its shared_ptr). Nothing here
-    // touches `snap` once `fn` has run: it may release the last pin.
+    // Run-and-release: `fn` captures the ticket or point burst that
+    // owns the span arrays. Nothing here touches `snap` once `fn` has
+    // run: it may release the last pin.
     std::function<void()> fn = std::move(done);
     done = nullptr;
     fn();
@@ -524,29 +517,6 @@ void ShardRouter::Policy::ApplyBatch(const UpdateBatch& batch) {
 
 uint32_t ShardRouter::Policy::NumEdges() const {
   return router->engine_.CurrentSnapshot()->graph.NumEdges();
-}
-
-void ShardRouter::Policy::RouteAsync(
-    const ShardedSnapshot& snap, Vertex s, Vertex t,
-    std::function<void(Weight, StatusCode)> done) const {
-  // One-element span: the fan-out's pointers alias its own storage.
-  auto fan = std::make_shared<SpanFanout>();
-  fan->router = router;
-  fan->snap = &snap;
-  fan->one_query = QueryPair{s, t};
-  fan->queries = &fan->one_query;
-  fan->idx = &fan->one_idx;
-  fan->count = 1;
-  fan->out = &fan->one_out;
-  fan->codes = &fan->one_code;
-  SpanFanout* raw = fan.get();
-  // Capturing the raw pointer (not the shared_ptr) avoids a
-  // fan->done->fan cycle; Arrive() invokes `done` while its calling
-  // callback still holds a shared_ptr, so `raw` is alive.
-  fan->done = [raw, done = std::move(done)] {
-    done(raw->one_out, raw->one_code);
-  };
-  raw->Start();
 }
 
 void ShardRouter::Policy::RouteSpanAsync(

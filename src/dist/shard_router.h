@@ -238,10 +238,9 @@ class ShardRouter {
     Weight ResolveOldWeight(EdgeId e) const;
     void ApplyBatch(const UpdateBatch& batch);
     uint32_t NumEdges() const;
-    // The continuation contract completed by the fan-out: `done` runs
-    // from whichever thread lands the span's last reply.
-    void RouteAsync(const ShardedSnapshot& snap, Vertex s, Vertex t,
-                    std::function<void(Weight, StatusCode)> done) const;
+    // The span contract completed by the fan-out: `done` runs from
+    // whichever thread lands the span's last reply. Point bursts and
+    // batch chunks both arrive here, so each span dedupes its rows.
     void RouteSpanAsync(const ShardedSnapshot& snap,
                         const QueryPair* queries, const uint32_t* idx,
                         size_t count, Weight* out, StatusCode* codes,

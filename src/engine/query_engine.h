@@ -261,12 +261,8 @@ class QueryEngine {
     Weight ResolveOldWeight(EdgeId e) const;
     void ApplyBatch(const UpdateBatch& batch);
     uint32_t NumEdges() const;
-    // Routing completes inline: one IndexView query per pair.
-    template <typename Done>
-    void RouteAsync(const EngineSnapshot& snap, Vertex s, Vertex t,
-                    Done&& done) const {
-      done(snap.Query(s, t), StatusCode::kOk);
-    }
+    // Routing completes inline: one IndexView query per pair, back to
+    // back across the span.
     template <typename Done>
     void RouteSpanAsync(const EngineSnapshot& snap, const QueryPair* queries,
                         const uint32_t* idx, size_t count, Weight* out,

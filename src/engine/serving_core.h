@@ -7,19 +7,21 @@
 //
 //   callers                       ServingCore<Policy>
 //   ───────────────────────────   ──────────────────────────────────────
-//   Submit()        -> future     one per-query path (SubmitOne) with
-//   SubmitTagged()  -> sink       two deliveries: a promise carrying the
-//                                 snapshot, or a CompletionSink push
-//                                 with the caller's tag (no promise)
+//   Submit()        -> future     a plain point job on the core's FIFO
+//   SubmitTagged()  -> sink       (promise, or sink + tag); a reader
+//                                 wake-up drains a BURST of queued jobs:
+//                                 one snapshot pin, one result-cache
+//                                 pass, one span route for all of them
 //   SubmitBatch()   -> ticket     pins ONE snapshot for the whole batch,
 //   SubmitBatchTagged()           consults the epoch-keyed result cache,
 //                                 groups the misses by BatchSortKey and
 //                                 routes them in chunks on the reader
-//                                 pool (Policy::RouteSpanAsync)
+//                                 pool
 //
-// Routing is one continuation-passing contract (see ServingCore): an
-// in-process policy completes it inline, the distributed router
-// completes it when its fan-out's last reply lands.
+// Routing is one continuation-passing span contract
+// (Policy::RouteSpanAsync, see ServingCore): a point burst and a batch
+// chunk are both spans. An in-process policy completes it inline, the
+// distributed router when its fan-out's last reply lands.
 //
 // Consistency contract (inherited by both engines): every query is
 // answered exactly for the weights of the single epoch snapshot it was
@@ -47,12 +49,12 @@
 #define STL_ENGINE_SERVING_CORE_H_
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -100,8 +102,9 @@ enum class AdmissionPolicy {
 /// the ones callers pass, no watchdog, drain-forever shutdown), which
 /// is the pre-hardening behaviour.
 struct ServingOptions {
-  /// Admission bound on queued (submitted, not yet routing) single
-  /// queries; 0 = unbounded. At the bound, admission_policy decides.
+  /// Admission bound on queued single queries (submitted, not yet in
+  /// a reader's burst); 0 = unbounded. At the bound, admission_policy
+  /// decides.
   size_t max_queued_queries = 0;
   /// Admission bound on in-flight (submitted, not yet done) batch
   /// tickets; 0 = unbounded.
@@ -295,8 +298,8 @@ struct EngineStats {
   /// FaultSite::kCompletionDropCandidate and redelivered by the
   /// exactly-once retry path.
   uint64_t completions_retried = 0;
-  /// Point-in-time admission queue depth (submitted single queries not
-  /// yet claimed by a reader); 0 when admission tracking is off.
+  /// Point-in-time admission queue depth: submitted single queries not
+  /// yet taken into a reader's burst.
   uint64_t queued_queries = 0;
   double wall_seconds = 0;           ///< Wall time since start / reset.
   double queries_per_second = 0;     ///< queries_served / wall_seconds.
@@ -563,8 +566,8 @@ struct ServingCoreOptions {
 /// Owns the reader pool, the single-writer update queue, the snapshot
 /// slot, the result cache and the counters; the Policy supplies what
 /// differs between them — how a coalesced batch is applied and
-/// published (Apply side) and how a query is routed on a snapshot
-/// (Route side).
+/// published (Apply side) and how a span of queries is routed on a
+/// snapshot (Route side).
 ///
 /// Policy requirements, Apply side:
 ///   using Snapshot / Result   — the published epoch type (must expose
@@ -579,33 +582,35 @@ struct ServingCoreOptions {
 ///   uint32_t NumEdges()       — update validation bound.
 ///   void AugmentStats(EngineStats*) — engine-specific stats fields
 ///       (backend, resident bytes, shard rows).
-///   static constexpr bool kGroupsBatches — when true, batch misses are
-///       sorted by the free function `uint64_t BatchSortKey(const
-///       Snapshot&, const QueryPair&)` (found by argument-dependent
-///       lookup) and chunked along key boundaries, so a group's queries
-///       share one routing span.
+///   static constexpr bool kGroupsBatches — when true, the misses of a
+///       batch or point burst are sorted by the free function
+///       `uint64_t BatchSortKey(const Snapshot&, const QueryPair&)`
+///       (found by argument-dependent lookup), and batches are chunked
+///       along key boundaries, so a group's queries share one span.
 ///
-/// Route side — one continuation-passing contract for every policy:
-///   RouteAsync(const Snapshot& snap, Vertex s, Vertex t, done) —
-///       answer one query, then invoke done(Weight, StatusCode) exactly
-///       once. A policy whose routing can fail (the distributed router)
-///       passes kUnavailable with kInfDistance.
+/// Route side — one continuation-passing span contract for every
+/// policy and every submission path:
 ///   RouteSpanAsync(const Snapshot& snap, const QueryPair* queries,
 ///                  const uint32_t* idx, size_t count, Weight* out,
 ///                  StatusCode* codes, done) —
 ///       answer queries[idx[j]] into out[idx[j]] for j < count, reusing
 ///       per-group state across the span, then invoke done() exactly
 ///       once. codes[idx[j]] is pre-set to kOk and written only on
-///       per-query routing failure.
-/// `done` pins `snap` (and, for a span, the arrays it was handed) until
-/// it runs, so a policy may read them up to that point without holding
-/// a reference of its own. In-process policies complete inline and take
-/// `done` as a template parameter, so their hot path pays no type
-/// erasure; the router converts it to a std::function (it is copyable)
-/// and invokes it from whichever thread lands the last reply, so a
-/// fan-out of N remote RPCs parks no reader thread. The core counts
-/// every issued route (BeginAsyncOp/EndAsyncOp) and its destructor
-/// waits for all of them after the pool drains.
+///       per-query routing failure (the distributed router passes
+///       kUnavailable with kInfDistance).
+/// A batch chunk is one span. A single query is too: Submit and
+/// SubmitTagged queue a plain point job, and a reader wake-up takes a
+/// burst of up to kPointBurst queued jobs and routes them as one span
+/// on one pinned snapshot.
+/// `done` pins `snap` and the span's arrays until it runs, so a policy
+/// may read them up to that point without holding a reference of its
+/// own. In-process policies complete inline and take `done` as a
+/// template parameter, so their hot path pays no type erasure; the
+/// router converts it to a std::function (it is copyable) and invokes
+/// it from whichever thread lands the last reply, so a fan-out of N
+/// remote RPCs parks no reader thread. The core counts every issued
+/// span (BeginAsyncOp/EndAsyncOp) and its destructor waits for all of
+/// them after the pool drains.
 ///
 /// Thread-safety: Submit*/EnqueueUpdate*/Flush/Stats may be called from
 /// any thread. Destruction drains: every submitted query is answered
@@ -628,8 +633,6 @@ class ServingCore {
         options_(options),
         serving_(options.serving),
         faults_(options.serving.fault_injector),
-        track_queries_(serving_.max_queued_queries > 0 ||
-                       serving_.shutdown_drain_ms > 0),
         track_batches_(serving_.max_queued_batches > 0 ||
                        serving_.shutdown_drain_ms > 0),
         pool_(options.num_query_threads) {
@@ -694,25 +697,15 @@ class ServingCore {
   /// thread has answered it — or, under overload, when admission
   /// control sheds it (Result::code == kOverloaded) or `deadline`
   /// passes before a reader dequeues it (kDeadlineExceeded, without
-  /// consuming routing time). Compatibility adapter over SubmitOne:
-  /// allocates one promise per query — high-qps callers should prefer
-  /// SubmitBatch or the tagged sink paths.
+  /// consuming routing time). Allocates one promise per query —
+  /// high-qps callers should prefer SubmitBatch or the tagged sink
+  /// paths.
   std::future<Result> Submit(QueryPair query,
                              Deadline deadline = kNoDeadline) {
-    auto promise = std::make_shared<std::promise<Result>>();
-    std::future<Result> result = promise->get_future();
-    SubmitOne(query, deadline,
-              [promise](Weight d, StatusCode code,
-                        std::shared_ptr<const Snapshot> snap,
-                        uint64_t nanos) {
-                Result r;
-                r.distance = d;
-                r.code = code;
-                r.epoch = snap != nullptr ? snap->epoch : 0;
-                r.latency_micros = static_cast<double>(nanos) / 1e3;
-                r.snapshot = std::move(snap);
-                promise->set_value(std::move(r));
-              });
+    PointJob job = NewPoint(query, deadline);
+    job.promise = std::make_unique<std::promise<Result>>();
+    std::future<Result> result = job.promise->get_future();
+    SubmitPoint(std::move(job));
     return result;
   }
 
@@ -738,13 +731,10 @@ class ServingCore {
   void SubmitTagged(QueryPair query, uint64_t tag, CompletionSink* sink,
                     Deadline deadline = kNoDeadline) {
     STL_CHECK(sink != nullptr);
-    SubmitOne(query, deadline,
-              [this, tag, sink](Weight d, StatusCode code,
-                                std::shared_ptr<const Snapshot> snap,
-                                uint64_t nanos) {
-                DeliverCompletion(sink, tag, d, code,
-                                  snap != nullptr ? snap->epoch : 0, nanos);
-              });
+    PointJob job = NewPoint(query, deadline);
+    job.sink = sink;
+    job.tag = tag;
+    SubmitPoint(std::move(job));
   }
 
   /// Completion-queue mode, batched: pins one snapshot like
@@ -812,7 +802,7 @@ class ServingCore {
     s.degraded = degraded_.load(std::memory_order_relaxed);
     s.staleness_epochs =
         staleness_epochs_.load(std::memory_order_relaxed);
-    s.queued_queries = queued_queries_.load(std::memory_order_relaxed);
+    s.queued_queries = queued_points_.load(std::memory_order_relaxed);
     s.result_cache_lookups = cache_.lookups();
     s.result_cache_hits = cache_.hits();
     s.result_cache_hit_rate = cache_.hit_rate();
@@ -837,105 +827,264 @@ class ServingCore {
   /// must keep an inline fallback.
   ThreadPool* pool() { return &pool_; }
 
+  /// True when no reader work is waiting: neither a pool task nor a
+  /// queued point job (point-in-time). Writer-side fan-out should only
+  /// borrow readers then, or its helpers queue behind query work.
+  bool ReadersIdle() const {
+    return pool_.queue_depth() == 0 &&
+           queued_points_.load(std::memory_order_relaxed) == 0;
+  }
+
  private:
   /// Nanoseconds elapsed since `start`.
   static uint64_t NanosSince(std::chrono::steady_clock::time_point start) {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
+    return Nanos(std::chrono::steady_clock::now() - start);
   }
 
-  /// The one per-query path behind Submit and SubmitTagged; they
-  /// differ only in `deliver(distance, code, snapshot, nanos)`, which
-  /// runs exactly once per query: answered or unavailable (with the
-  /// serving snapshot), or shed / expired / drained without an answer
-  /// (with the then-current snapshot).
-  template <typename Deliver>
-  void SubmitOne(QueryPair query, Deadline deadline, Deliver deliver) {
-    const auto submitted = std::chrono::steady_clock::now();
-    // Completes the query without an answer (admission shed, expired
-    // deadline, or shutdown drain) — exactly once, via the unit claim.
-    auto fail = [this, deliver, submitted](StatusCode code) {
-      deliver(kInfDistance, code, current_.load(), NanosSince(submitted));
-    };
-    std::shared_ptr<QueryAdmission> unit;
-    if (track_queries_) {
-      unit = std::make_shared<QueryAdmission>();
-      unit->fail = fail;
-      if (!AdmitQuery(unit)) {
-        counters_.queries_shed.fetch_add(1, std::memory_order_relaxed);
-        fail(StatusCode::kOverloaded);
-        return;
+  /// `d` in whole nanoseconds.
+  static uint64_t Nanos(std::chrono::steady_clock::duration d) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
+  }
+
+  /// Most point jobs one reader wake-up routes as one span. Small
+  /// enough that a burst's tail waits little for its head, large
+  /// enough to amortize the wake-up, the snapshot pin and the span
+  /// bookkeeping, and to let neighbouring label scans overlap.
+  static constexpr size_t kPointBurst = 16;
+
+  /// One submitted single query, queued on the core's FIFO until a
+  /// reader takes it into a burst. It completes exactly once, through
+  /// whoever holds it: the burst that routes it, an admission shedder
+  /// or the shutdown drain (each takes it off the FIFO under
+  /// points_mu_). Delivery is `promise` (Submit) or `sink` + `tag`
+  /// (SubmitTagged).
+  struct PointJob {
+    QueryPair query;
+    std::chrono::steady_clock::time_point submitted;
+    Deadline deadline = kNoDeadline;
+    CompletionSink* sink = nullptr;
+    uint64_t tag = 0;
+    std::unique_ptr<std::promise<Result>> promise;
+  };
+
+  /// The jobs of one reader wake-up and the span arrays routed for
+  /// them; jobs[j] is answered in out[j] / codes[j]. Heap-held, since a
+  /// policy that completes later (the router) reads the arrays and the
+  /// pinned snapshot after the reader has moved on.
+  struct PointBurst {
+    std::shared_ptr<const Snapshot> snap;
+    size_t size = 0;
+    std::array<PointJob, kPointBurst> jobs;
+    std::array<QueryPair, kPointBurst> queries;
+    std::array<uint32_t, kPointBurst> idx;
+    std::array<Weight, kPointBurst> out;
+    std::array<StatusCode, kPointBurst> codes;
+  };
+
+  /// A point job submitted now, with no delivery attached yet.
+  static PointJob NewPoint(QueryPair query, Deadline deadline) {
+    PointJob job;
+    job.query = query;
+    job.submitted = std::chrono::steady_clock::now();
+    job.deadline = deadline;
+    return job;
+  }
+
+  /// Admits one point job to the FIFO — or, at the admission bound,
+  /// fails it (kRejectNew) or sheds the oldest queued jobs (kShedOldest)
+  /// — and posts a drain task unless every reader already has one.
+  void SubmitPoint(PointJob job) {
+    std::vector<PointJob> shed;
+    bool rejected = false;
+    bool post = false;
+    {
+      std::lock_guard<std::mutex> lock(points_mu_);
+      const size_t bound = serving_.max_queued_queries;
+      if (bound > 0 && points_.size() >= bound) {
+        if (serving_.admission_policy == AdmissionPolicy::kRejectNew) {
+          rejected = true;
+        } else {
+          while (points_.size() >= bound) {
+            shed.push_back(std::move(points_.front()));
+            points_.pop_front();
+          }
+        }
+      }
+      if (!rejected) {
+        points_.push_back(std::move(job));
+        queued_points_.store(points_.size(), std::memory_order_relaxed);
+        if (point_drains_ < static_cast<size_t>(pool_.num_threads())) {
+          ++point_drains_;
+          post = true;
+        }
       }
     }
-    const bool accepted = pool_.Enqueue(
-        [this, query, submitted, deadline, deliver = std::move(deliver),
-         fail = std::move(fail), unit = std::move(unit)]() mutable {
-          if (unit != nullptr) {
-            if (unit->claimed.exchange(true)) return;  // shed or drained
-            queued_queries_.fetch_sub(1, std::memory_order_relaxed);
-          }
-          if (deadline != kNoDeadline &&
-              std::chrono::steady_clock::now() >= deadline) {
-            counters_.queries_deadline_exceeded.fetch_add(
-                1, std::memory_order_relaxed);
-            fail(StatusCode::kDeadlineExceeded);
-            return;
-          }
-          MaybeReaderDelay();
-          // The entire read path: one atomic load, then const reads on
-          // an immutable snapshot. Never blocks on maintenance work. The
-          // continuation owns the pin, so a policy that answers later
-          // can keep reading `pinned` until it calls back.
-          std::shared_ptr<const Snapshot> snap = current_.load();
-          const Snapshot& pinned = *snap;
-          RouteWithCache(
-              pinned, query.first, query.second,
-              [this, submitted, snap = std::move(snap),
-               deliver = std::move(deliver)](Weight d,
-                                             StatusCode code) mutable {
-                const uint64_t nanos = NanosSince(submitted);
-                if (code == StatusCode::kOk) {
-                  counters_.latency.Record(nanos);
-                  counters_.queries_served.fetch_add(
-                      1, std::memory_order_relaxed);
-                } else {
-                  counters_.queries_unavailable.fetch_add(
-                      1, std::memory_order_relaxed);
-                }
-                deliver(d, code, std::move(snap), nanos);
-              });
-        });
-    STL_CHECK(accepted) << "query submitted to a shut-down engine";
+    // Fail outside the lock: delivery runs caller code (promise
+    // fulfilment or sink), which may submit again.
+    if (rejected) shed.push_back(std::move(job));
+    for (PointJob& victim : shed) {
+      counters_.queries_shed.fetch_add(1, std::memory_order_relaxed);
+      FailPoint(victim, StatusCode::kOverloaded);
+    }
+    if (post) {
+      STL_CHECK(pool_.Enqueue([this] { DrainPoints(); }))
+          << "query submitted to a shut-down engine";
+    }
   }
 
-  /// One query on `snap`, consulting the result cache around the
-  /// policy's RouteAsync: a hit answers `done` inline; a miss routes,
-  /// and the continuation fills the cache before forwarding the
-  /// verdict. Failed answers are never cached — a retry on the same
-  /// epoch may succeed. `done` runs exactly once.
-  template <typename Done>
-  void RouteWithCache(const Snapshot& snap, Vertex s, Vertex t,
-                      Done&& done) {
-    const uint64_t key = SlotCache::PairKey(s, t);
-    Weight d;
-    if (cache_.enabled() && cache_.Lookup(key, snap.epoch, 1, &d)) {
-      done(d, StatusCode::kOk);
-      return;
+  /// One drain task: takes a burst of min(kPointBurst, ceil(queued /
+  /// readers)) jobs off the FIFO front — so a backlog spreads across
+  /// every reader — and routes it. While jobs remain it re-posts
+  /// itself behind whatever else the pool holds (batch chunks, writer
+  /// helpers), keeping the pool FIFO-fair; once the pool refuses work
+  /// (shutdown) it keeps draining on this thread instead.
+  void DrainPoints() {
+    const size_t readers = static_cast<size_t>(pool_.num_threads());
+    while (true) {
+      auto burst = std::make_shared<PointBurst>();
+      {
+        std::lock_guard<std::mutex> lock(points_mu_);
+        if (points_.empty()) {
+          --point_drains_;
+          return;
+        }
+        const size_t take = std::min(
+            kPointBurst, (points_.size() + readers - 1) / readers);
+        for (size_t j = 0; j < take; ++j) {
+          burst->jobs[j] = std::move(points_.front());
+          points_.pop_front();
+        }
+        burst->size = take;
+        queued_points_.store(points_.size(), std::memory_order_relaxed);
+      }
+      RunBurst(std::move(burst));
+      {
+        std::lock_guard<std::mutex> lock(points_mu_);
+        if (points_.empty()) {
+          --point_drains_;
+          return;
+        }
+      }
+      if (pool_.Enqueue([this] { DrainPoints(); })) return;
+    }
+  }
+
+  /// Routes one burst: expires jobs whose deadline passed (without
+  /// routing them), pins ONE snapshot for the rest, answers result-
+  /// cache hits from it, and hands the misses to the policy as one span
+  /// (grouped by BatchSortKey when the policy groups). The span's
+  /// continuation finishes the burst.
+  void RunBurst(std::shared_ptr<PointBurst> burst) {
+    PointBurst& b = *burst;
+    size_t live = 0;
+    for (size_t j = 0; j < b.size; ++j) {
+      PointJob& job = b.jobs[j];
+      if (job.deadline != kNoDeadline &&
+          std::chrono::steady_clock::now() >= job.deadline) {
+        counters_.queries_deadline_exceeded.fetch_add(
+            1, std::memory_order_relaxed);
+        FailPoint(job, StatusCode::kDeadlineExceeded);
+        continue;
+      }
+      MaybeReaderDelay();
+      if (live != j) b.jobs[live] = std::move(job);
+      ++live;
+    }
+    b.size = live;
+    if (live == 0) return;
+    // The entire read path: one atomic load, then const reads on an
+    // immutable snapshot. Never blocks on maintenance work.
+    b.snap = current_.load();
+    const Snapshot& snap = *b.snap;
+    size_t misses = 0;
+    for (uint32_t j = 0; j < live; ++j) {
+      const QueryPair& q = b.jobs[j].query;
+      b.queries[j] = q;
+      b.codes[j] = StatusCode::kOk;
+      if (cache_.enabled() &&
+          cache_.Lookup(SlotCache::PairKey(q.first, q.second), snap.epoch, 1,
+                        &b.out[j])) {
+        continue;
+      }
+      b.idx[misses++] = j;
+    }
+    if constexpr (Policy::kGroupsBatches) {
+      std::array<uint64_t, kPointBurst> keys;
+      for (size_t j = 0; j < live; ++j) {
+        keys[j] = BatchSortKey(snap, b.queries[j]);
+      }
+      // Ties keep submission order, so the span order is deterministic.
+      std::sort(b.idx.begin(), b.idx.begin() + misses,
+                [&keys](uint32_t x, uint32_t y) {
+                  return keys[x] != keys[y] ? keys[x] < keys[y] : x < y;
+                });
     }
     BeginAsyncOp();
-    policy_->RouteAsync(
-        snap, s, t,
-        [this, key, epoch = snap.epoch,
-         done = std::forward<Done>(done)](Weight d,
-                                          StatusCode code) mutable {
-          if (cache_.enabled() && code == StatusCode::kOk) {
-            cache_.Insert(key, epoch, 1, &d);
-          }
-          done(d, code);
+    policy_->RouteSpanAsync(
+        snap, b.queries.data(), b.idx.data(), misses, b.out.data(),
+        b.codes.data(), [this, burst = std::move(burst)]() mutable {
+          FinishBurst(*burst);
+          burst.reset();  // unpin before the destructor may proceed
           EndAsyncOp();
         });
+  }
+
+  /// The post-routing half of a burst: cache fills, latency/served
+  /// counters, then exactly one delivery per job. Counting comes
+  /// first, so a caller that saw its answer also sees it counted.
+  /// (A cache hit is written back unchanged; the cache is keyed by
+  /// epoch, so that is harmless.)
+  void FinishBurst(PointBurst& b) {
+    const auto now = std::chrono::steady_clock::now();
+    const uint64_t epoch = b.snap->epoch;
+    size_t served = 0;
+    for (size_t j = 0; j < b.size; ++j) {
+      const PointJob& job = b.jobs[j];
+      if (b.codes[j] == StatusCode::kOk) {
+        if (cache_.enabled()) {
+          cache_.Insert(
+              SlotCache::PairKey(job.query.first, job.query.second), epoch,
+              1, &b.out[j]);
+        }
+        counters_.latency.Record(Nanos(now - job.submitted));
+        ++served;
+      } else {
+        counters_.queries_unavailable.fetch_add(1,
+                                                std::memory_order_relaxed);
+      }
+    }
+    counters_.queries_served.fetch_add(served, std::memory_order_relaxed);
+    for (size_t j = 0; j < b.size; ++j) {
+      PointJob& job = b.jobs[j];
+      DeliverPoint(job, b.out[j], b.codes[j], b.snap,
+                   Nanos(now - job.submitted));
+    }
+  }
+
+  /// Completes a point job without an answer (admission shed, expired
+  /// deadline, or shutdown drain), reporting the then-current epoch.
+  void FailPoint(PointJob& job, StatusCode code) {
+    DeliverPoint(job, kInfDistance, code, current_.load(),
+                 NanosSince(job.submitted));
+  }
+
+  /// The one delivery of a point job: fulfils its promise (with the
+  /// serving snapshot) or pushes its tag to its sink.
+  void DeliverPoint(PointJob& job, Weight d, StatusCode code,
+                    const std::shared_ptr<const Snapshot>& snap,
+                    uint64_t nanos) {
+    if (job.sink != nullptr) {
+      DeliverCompletion(job.sink, job.tag, d, code, snap->epoch, nanos);
+      return;
+    }
+    Result r;
+    r.distance = d;
+    r.code = code;
+    r.epoch = snap->epoch;
+    r.latency_micros = static_cast<double>(nanos) / 1e3;
+    r.snapshot = snap;
+    job.promise->set_value(std::move(r));
   }
 
   /// Registers one issued route continuation. The destructor waits for
@@ -1243,58 +1392,6 @@ class ServingCore {
     }
   }
 
-  /// One tracked single-query submission: whoever wins the claim —
-  /// the reader that dequeues it, an admission shedder, or the
-  /// shutdown drain — completes the query, so it completes exactly
-  /// once. `fail` finishes it without an answer (promise or sink).
-  struct QueryAdmission {
-    std::atomic<bool> claimed{false};       ///< Completion ownership.
-    std::function<void(StatusCode)> fail;   ///< Failure completer.
-  };
-
-  /// Registers a tracked single query with admission control. Returns
-  /// false when the bound is hit under kRejectNew (the caller fails
-  /// the new unit); under kShedOldest the oldest still-queued queries
-  /// are claimed and failed kOverloaded to make room and the new unit
-  /// is admitted.
-  bool AdmitQuery(const std::shared_ptr<QueryAdmission>& unit) {
-    std::vector<std::shared_ptr<QueryAdmission>> shed;
-    {
-      std::lock_guard<std::mutex> lock(admit_mu_);
-      while (!query_fifo_.empty() &&
-             query_fifo_.front()->claimed.load(std::memory_order_relaxed)) {
-        query_fifo_.pop_front();  // lazily prune claimed heads
-      }
-      if (serving_.max_queued_queries > 0 &&
-          queued_queries_.load(std::memory_order_relaxed) >=
-              serving_.max_queued_queries) {
-        if (serving_.admission_policy == AdmissionPolicy::kRejectNew) {
-          return false;
-        }
-        while (queued_queries_.load(std::memory_order_relaxed) >=
-                   serving_.max_queued_queries &&
-               !query_fifo_.empty()) {
-          std::shared_ptr<QueryAdmission> oldest =
-              std::move(query_fifo_.front());
-          query_fifo_.pop_front();
-          if (!oldest->claimed.exchange(true)) {
-            queued_queries_.fetch_sub(1, std::memory_order_relaxed);
-            shed.push_back(std::move(oldest));
-          }
-        }
-      }
-      query_fifo_.push_back(unit);
-      queued_queries_.fetch_add(1, std::memory_order_relaxed);
-    }
-    // Fail the victims outside the lock: fail() runs caller code
-    // (promise fulfilment / sink delivery).
-    for (const std::shared_ptr<QueryAdmission>& u : shed) {
-      counters_.queries_shed.fetch_add(1, std::memory_order_relaxed);
-      u->fail(StatusCode::kOverloaded);
-    }
-    return true;
-  }
-
   /// Sheds the oldest still-live batch tickets until the in-flight
   /// count makes room for one more (or the FIFO runs dry). Shedding
   /// claims a victim's not-yet-routing chunks and fails them
@@ -1341,10 +1438,11 @@ class ServingCore {
   }
 
   /// Bounded shutdown drain: waits up to shutdown_drain_ms for the
-  /// admission queues to empty, then claims whatever is still queued
-  /// and fails it kOverloaded. Exactly-once holds: a pool task that
-  /// later dequeues a claimed unit or chunk returns without touching
-  /// it, and chunks already routing finish normally.
+  /// admission queues to empty, then takes whatever is still queued
+  /// and fails it kOverloaded. Exactly-once holds: point jobs leave the
+  /// FIFO under its lock (a drain task then finds it empty), a pool
+  /// task that later dequeues a claimed chunk returns without touching
+  /// it, and bursts and chunks already routing finish normally.
   void DrainWithDeadline() {
     const auto deadline =
         std::chrono::steady_clock::now() +
@@ -1352,23 +1450,21 @@ class ServingCore {
             std::chrono::duration<double, std::milli>(
                 serving_.shutdown_drain_ms));
     while (std::chrono::steady_clock::now() < deadline) {
-      if (queued_queries_.load(std::memory_order_relaxed) == 0 &&
+      if (queued_points_.load(std::memory_order_relaxed) == 0 &&
           inflight_batches_.load(std::memory_order_relaxed) == 0) {
         return;  // drained in time — nothing to fail
       }
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
-    std::vector<std::shared_ptr<QueryAdmission>> residual;
+    std::deque<PointJob> residual;
+    {
+      std::lock_guard<std::mutex> lock(points_mu_);
+      residual.swap(points_);
+      queued_points_.store(0, std::memory_order_relaxed);
+    }
     std::vector<std::shared_ptr<TicketState>> residual_batches;
     {
       std::lock_guard<std::mutex> lock(admit_mu_);
-      for (std::shared_ptr<QueryAdmission>& u : query_fifo_) {
-        if (!u->claimed.exchange(true)) {
-          queued_queries_.fetch_sub(1, std::memory_order_relaxed);
-          residual.push_back(std::move(u));
-        }
-      }
-      query_fifo_.clear();
       for (std::weak_ptr<TicketState>& w : batch_fifo_) {
         std::shared_ptr<TicketState> s = w.lock();
         if (s != nullptr && !s->finished.load(std::memory_order_relaxed)) {
@@ -1377,9 +1473,9 @@ class ServingCore {
       }
       batch_fifo_.clear();
     }
-    for (const std::shared_ptr<QueryAdmission>& u : residual) {
+    for (PointJob& job : residual) {
       counters_.queries_shed.fetch_add(1, std::memory_order_relaxed);
-      u->fail(StatusCode::kOverloaded);
+      FailPoint(job, StatusCode::kOverloaded);
     }
     for (const std::shared_ptr<TicketState>& s : residual_batches) {
       ShedTicket(*s);
@@ -1482,9 +1578,8 @@ class ServingCore {
   const ServingCoreOptions options_;
   const ServingOptions serving_;  // overload-hardening knobs (copy)
   FaultInjector* const faults_;   // null = no fault hooks
-  // Whether single queries / batch tickets carry admission tracking
-  // (needed for bounds and for the bounded shutdown drain).
-  const bool track_queries_;
+  // Whether batch tickets carry admission tracking (needed for the
+  // batch bound and for the bounded shutdown drain).
   const bool track_batches_;
 
   AtomicSharedPtr<const Snapshot> current_;
@@ -1496,12 +1591,19 @@ class ServingCore {
   // The epoch-keyed (s, t) result memo: the slot cache's width-1 case.
   SlotCache cache_;
 
-  // Admission state: FIFOs of claimable work (pruned lazily) plus the
-  // point-in-time depth counters the bounds are enforced against.
+  // The point-job FIFO: the single-query queue and its admission FIFO
+  // at once. point_drains_ counts drain tasks posted or running (at
+  // most one per reader); queued_points_ mirrors the FIFO depth for
+  // lock-free readers (Stats, ReadersIdle, the drain wait).
+  std::mutex points_mu_;
+  std::deque<PointJob> points_;    // guarded by points_mu_
+  size_t point_drains_ = 0;        // guarded by points_mu_
+  std::atomic<uint64_t> queued_points_{0};
+
+  // Batch admission state: a FIFO of claimable tickets (pruned lazily)
+  // plus the in-flight count the batch bound is enforced against.
   std::mutex admit_mu_;
-  std::deque<std::shared_ptr<QueryAdmission>> query_fifo_;
   std::deque<std::weak_ptr<TicketState>> batch_fifo_;
-  std::atomic<uint64_t> queued_queries_{0};
   std::atomic<uint64_t> inflight_batches_{0};
 
   // Outstanding route continuations (see BeginAsyncOp); the destructor

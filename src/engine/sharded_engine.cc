@@ -23,9 +23,10 @@ namespace {
 // a busy pool just mean fewer helpers. Run returns only after every
 // launched helper finished (mutex/cv join — the join also orders the
 // helpers' row writes before the writer's reads).
+template <typename Core>
 class PoolExecutor final : public OverlayExecutor {
  public:
-  explicit PoolExecutor(ThreadPool* pool) : pool_(pool) {}
+  explicit PoolExecutor(Core* core) : core_(core), pool_(core->pool()) {}
 
   uint32_t Width() const override {
     return static_cast<uint32_t>(std::max(1, pool_->num_threads()));
@@ -34,11 +35,11 @@ class PoolExecutor final : public OverlayExecutor {
   void Run(const std::function<void()>& worker) override {
     const uint32_t width = Width();
     // Helpers share the reader pool's task queue, so under query load
-    // they would sit behind pending query chunks and the writer would
-    // block on them for nothing. Fan out only when the pool is idle
-    // (the common case for update-dominated phases); otherwise the
-    // writer runs the whole recompute inline.
-    const uint32_t helpers = pool_->queue_depth() == 0 ? width - 1 : 0;
+    // they would sit behind pending query chunks and point bursts, and
+    // the writer would block on them for nothing. Fan out only when no
+    // reader work is waiting (the common case for update-dominated
+    // phases); otherwise the writer runs the whole recompute inline.
+    const uint32_t helpers = core_->ReadersIdle() ? width - 1 : 0;
     // Heap-held latch: a helper's final unlock may race Run's return,
     // so the state must outlive Run (each helper keeps a reference).
     struct Latch {
@@ -68,7 +69,8 @@ class PoolExecutor final : public OverlayExecutor {
   }
 
  private:
-  ThreadPool* pool_;
+  Core* const core_;
+  ThreadPool* const pool_;
 };
 
 /// Per-thread scratch of the in-process row source, reused across
@@ -295,7 +297,7 @@ ShardedEngine::ShardedEngine(Graph graph,
 ShardedEngine::~ShardedEngine() = default;  // core_ drains first
 
 void ShardedEngine::PublishInitialSnapshot() {
-  PoolExecutor executor(core_.pool());
+  PoolExecutor executor(&core_);
   for (uint32_t c = 0; c < layout_->num_shards(); ++c) {
     PublishInfo info;
     auto view = states_[c].index->PublishView(/*flat_publish=*/false, &info);
@@ -503,7 +505,7 @@ void ShardedEngine::ApplyAndPublish(const UpdateBatch& batch) {
   // snapshot swap. Clean shards' ShardServing pointers carry over
   // unchanged, and clean overlay rows are pointer-shared.
   Timer publish_timer;
-  PoolExecutor executor(core_.pool());
+  PoolExecutor executor(&core_);
   for (uint32_t c = 0; c < k; ++c) {
     if (per_shard[c].empty()) continue;
     PublishInfo info;

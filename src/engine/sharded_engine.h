@@ -307,17 +307,7 @@ class ShardedEngine {
     Weight ResolveOldWeight(EdgeId e) const;
     void ApplyBatch(const UpdateBatch& batch);
     uint32_t NumEdges() const;
-    // Routing completes inline through RouteLocal; a single query is a
-    // one-element span.
-    template <typename Done>
-    void RouteAsync(const ShardedSnapshot& snap, Vertex s, Vertex t,
-                    Done&& done) const {
-      const QueryPair query{s, t};
-      const uint32_t idx = 0;
-      Weight d = kInfDistance;
-      RouteLocal(snap, &query, &idx, 1, &d);
-      done(d, StatusCode::kOk);
-    }
+    // Routing completes inline through RouteLocal.
     template <typename Done>
     void RouteSpanAsync(const ShardedSnapshot& snap,
                         const QueryPair* queries, const uint32_t* idx,

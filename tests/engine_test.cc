@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <map>
+#include <mutex>
 #include <thread>
+#include <utility>
 
 #include "engine/latency_histogram.h"
 #include "engine/thread_pool.h"
@@ -665,6 +669,167 @@ TEST(QueryEngineTest, CompletionQueueAnswersAreExactOnQuiescentEpoch) {
       EXPECT_EQ(buf[i].epoch, snap->epoch);
     }
     received += got;
+  }
+}
+
+// A closed-loop point client like the serving benchmark's: every
+// completion resubmits its slot from the delivering thread, so the
+// queue is refilled while a burst is still finishing. Tags run from 0
+// to `total` - 1; each completion is recorded once under the lock.
+class ResubmittingSink final : public CompletionSink {
+ public:
+  ResubmittingSink(QueryEngine* engine, std::vector<QueryPair> pairs,
+                   uint64_t total)
+      : engine_(engine), pairs_(std::move(pairs)), total_(total) {}
+
+  /// Submits the first `in_flight` tags.
+  void Start(uint64_t in_flight) {
+    for (uint64_t i = 0; i < in_flight; ++i) SubmitNext();
+  }
+
+  void Deliver(const Completion& done) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      completions_.push_back(done);
+    }
+    SubmitNext();
+  }
+
+  std::vector<Completion> Take() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return completions_;
+  }
+  size_t size() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return completions_.size();
+  }
+  const QueryPair& pair(uint64_t tag) const {
+    return pairs_[tag % pairs_.size()];
+  }
+
+ private:
+  void SubmitNext() {
+    const uint64_t tag = next_.fetch_add(1);
+    if (tag >= total_) return;
+    engine_->SubmitTagged(pair(tag), tag, this);
+  }
+
+  QueryEngine* const engine_;
+  const std::vector<QueryPair> pairs_;
+  const uint64_t total_;
+  std::atomic<uint64_t> next_{0};
+  std::mutex mu_;
+  std::vector<Completion> completions_;
+};
+
+// Point queries are served in bursts (one snapshot pin and one span
+// route per reader wake-up). With 64 tagged and promise queries in
+// flight and a writer publishing concurrently, at 1 and at 4 readers:
+// every tag completes exactly once, every answer is exact on the epoch
+// it reports, and a Submit result's snapshot is that epoch's.
+TEST(EngineTest, PointBurstsServeOnePinnedEpochExactlyOnce) {
+  for (const int readers : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << readers << " readers");
+    Graph g = testing_util::SmallRoadNetwork(7, 71);
+    const uint32_t n = g.NumVertices();
+    const uint32_t m = g.NumEdges();
+    EngineOptions opt;
+    opt.num_query_threads = readers;
+    opt.max_batch_size = 4;
+    QueryEngine engine(std::move(g), HierarchyOptions{}, opt);
+
+    // Every epoch's snapshot, for the tagged path's audit (completions
+    // carry only the epoch). The writer is fed only by the updater
+    // below, which flushes after each update, so it sees every epoch.
+    std::mutex snaps_mu;
+    std::map<uint64_t, std::shared_ptr<const EngineSnapshot>> snaps;
+    snaps.emplace(0, engine.CurrentSnapshot());
+    std::atomic<bool> stop{false};
+    std::thread updater([&] {
+      Rng urng(711);
+      while (!stop.load()) {
+        engine.EnqueueUpdate(static_cast<EdgeId>(urng.NextBounded(m)),
+                             1 + static_cast<Weight>(urng.NextBounded(300)));
+        engine.Flush();
+        auto snap = engine.CurrentSnapshot();
+        {
+          std::lock_guard<std::mutex> lock(snaps_mu);
+          snaps.emplace(snap->epoch, std::move(snap));
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(300));
+      }
+    });
+
+    Rng qrng(712);
+    std::vector<QueryPair> pairs;
+    for (int i = 0; i < 256; ++i) {
+      pairs.emplace_back(static_cast<Vertex>(qrng.NextBounded(n)),
+                         static_cast<Vertex>(qrng.NextBounded(n)));
+    }
+    constexpr uint64_t kTagged = 3000;
+    constexpr uint64_t kPromised = 3000;
+    constexpr size_t kInFlight = 32;  // per path: 64 in flight in all
+    ResubmittingSink sink(&engine, pairs, kTagged);
+    sink.Start(kInFlight);
+
+    // The promise path on this thread, kInFlight futures deep.
+    testing_util::EpochOracle oracle;
+    uint64_t promise_wrong = 0;
+    uint64_t promise_epoch_mismatch = 0;
+    std::deque<std::pair<QueryPair, std::future<QueryResult>>> futures;
+    uint64_t promised = 0;
+    while (promised < kPromised || !futures.empty()) {
+      while (promised < kPromised && futures.size() < kInFlight) {
+        const QueryPair q = pairs[(promised * 7) % pairs.size()];
+        futures.emplace_back(q, engine.Submit(q));
+        ++promised;
+      }
+      auto [q, f] = std::move(futures.front());
+      futures.pop_front();
+      QueryResult r = f.get();
+      ASSERT_EQ(r.code, StatusCode::kOk);
+      ASSERT_NE(r.snapshot, nullptr);
+      if (r.snapshot->epoch != r.epoch) ++promise_epoch_mismatch;
+      if (r.distance !=
+          oracle.Distance(r.epoch, r.snapshot->graph, q.first, q.second)) {
+        ++promise_wrong;
+      }
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (sink.size() < kTagged &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    stop.store(true);
+    updater.join();
+    EXPECT_EQ(promise_epoch_mismatch, 0u);
+    EXPECT_EQ(promise_wrong, 0u);
+
+    std::vector<uint8_t> seen(kTagged, 0);
+    uint64_t tagged_wrong = 0;
+    for (const Completion& done : sink.Take()) {
+      ASSERT_LT(done.tag, kTagged);
+      ASSERT_EQ(seen[done.tag]++, 0) << "tag " << done.tag << " twice";
+      ASSERT_EQ(done.code, StatusCode::kOk);
+      const QueryPair& q = sink.pair(done.tag);
+      std::shared_ptr<const EngineSnapshot> snap;
+      {
+        std::lock_guard<std::mutex> lock(snaps_mu);
+        snap = snaps.at(done.epoch);
+      }
+      if (done.distance !=
+          oracle.Distance(done.epoch, snap->graph, q.first, q.second)) {
+        ++tagged_wrong;
+      }
+    }
+    EXPECT_EQ(tagged_wrong, 0u);
+    EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),
+              static_cast<std::ptrdiff_t>(kTagged));
+    const EngineStats stats = engine.Stats();
+    EXPECT_EQ(stats.queries_served, kTagged + kPromised);
+    EXPECT_EQ(stats.queued_queries, 0u);
+    EXPECT_GE(stats.epochs_published, 1u);
   }
 }
 

@@ -548,6 +548,139 @@ TEST(ShutdownDrainTest, DeadlineFailsResidualTagsAsOverloaded) {
   EXPECT_GT(failed, 0u) << "30ms drain cannot answer 32 x 20ms queries";
 }
 
+// ------------------------------------------------ point-job queue
+//
+// Single queries wait on the core's point-job FIFO until a reader takes
+// a burst of them. These pin down what happens to a job still on the
+// FIFO while a reader holds a burst: its deadline expires it without
+// routing, and shed-oldest admission and the shutdown drain take it —
+// but never a job that is already inside a taken burst.
+
+TEST(PointJobQueueTest, DeadlineExpiresAJobQueuedBehindATakenBurst) {
+  Graph g = testing_util::SmallRoadNetwork(5, 31);
+  testing_util::ReaderGate gate;
+  EngineOptions opt;
+  opt.num_query_threads = 1;
+  opt.serving.fault_injector = &gate;
+  QueryEngine engine(std::move(g), HierarchyOptions{}, opt);
+
+  gate.Arm();
+  std::future<QueryResult> plug = engine.Submit({0, 2});
+  gate.WaitHeld();  // the lone reader holds the plug's burst
+  std::future<QueryResult> expiring =
+      engine.Submit({0, 7}, steady_clock::now() + milliseconds(2));
+  std::future<QueryResult> patient = engine.Submit({0, 7});
+  std::this_thread::sleep_for(milliseconds(20));
+  gate.Release();
+
+  EXPECT_EQ(plug.get().code, StatusCode::kOk);
+  QueryResult late = expiring.get();
+  EXPECT_EQ(late.code, StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(late.distance, kInfDistance);
+  ASSERT_NE(late.snapshot, nullptr);
+  EXPECT_EQ(late.snapshot->epoch, late.epoch);
+  QueryResult ok = patient.get();
+  EXPECT_EQ(ok.code, StatusCode::kOk);
+  EXPECT_EQ(ok.distance, ok.snapshot->Query(0, 7));
+  // The expired job never reached the reader-delay site: it was failed
+  // before routing. The other two each visited it once.
+  EXPECT_EQ(gate.visits(), 2u);
+  EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.queries_deadline_exceeded, 1u);
+  EXPECT_EQ(stats.queries_served, 2u);
+}
+
+TEST(PointJobQueueTest, ShedOldestTakesQueuedJobsNeverATakenBurst) {
+  Graph g = testing_util::SmallRoadNetwork(5, 32);
+  const uint32_t n = g.NumVertices();
+  testing_util::ReaderGate gate;
+  EngineOptions opt;
+  opt.num_query_threads = 1;
+  opt.serving.max_queued_queries = 4;
+  opt.serving.admission_policy = AdmissionPolicy::kShedOldest;
+  opt.serving.fault_injector = &gate;
+  QueryEngine engine(std::move(g), HierarchyOptions{}, opt);
+  auto pair = [n](uint32_t i) {
+    return QueryPair{static_cast<Vertex>(i % n),
+                     static_cast<Vertex>((7 * i + 3) % n)};
+  };
+
+  gate.Arm();
+  std::future<QueryResult> plug = engine.Submit(pair(0));
+  gate.WaitHeld();
+  // Three jobs queue behind the plug; the next wake-up takes all three
+  // as one burst and is held on its first job.
+  std::vector<std::future<QueryResult>> burst;
+  for (uint32_t i = 1; i <= 3; ++i) burst.push_back(engine.Submit(pair(i)));
+  gate.Arm();
+  gate.Release();
+  gate.WaitHeld();
+  EXPECT_EQ(engine.Stats().queued_queries, 0u);
+  // Six more against a bound of four: the two oldest QUEUED jobs are
+  // shed; the held burst is not queued and must survive.
+  std::vector<std::future<QueryResult>> queued;
+  for (uint32_t i = 4; i <= 9; ++i) queued.push_back(engine.Submit(pair(i)));
+  EXPECT_EQ(engine.Stats().queued_queries, 4u);
+  gate.Release();
+
+  EXPECT_EQ(plug.get().code, StatusCode::kOk);
+  for (auto& f : burst) {
+    QueryResult r = f.get();
+    EXPECT_EQ(r.code, StatusCode::kOk);
+  }
+  std::vector<StatusCode> codes;
+  for (auto& f : queued) codes.push_back(f.get().code);
+  const std::vector<StatusCode> want = {
+      StatusCode::kOverloaded, StatusCode::kOverloaded, StatusCode::kOk,
+      StatusCode::kOk,         StatusCode::kOk,         StatusCode::kOk};
+  EXPECT_EQ(codes, want);
+  // One reader-delay visit per routed query, not per burst.
+  EXPECT_EQ(gate.visits(), 8u);
+  EngineStats stats = engine.Stats();
+  EXPECT_EQ(stats.queries_shed, 2u);
+  EXPECT_EQ(stats.queries_served, 8u);
+  EXPECT_EQ(stats.queued_queries, 0u);
+}
+
+TEST(PointJobQueueTest, ShutdownDrainTakesQueuedJobsNeverATakenBurst) {
+  Graph g = testing_util::SmallRoadNetwork(5, 33);
+  const uint32_t n = g.NumVertices();
+  testing_util::ReaderGate gate;
+  RecordingSink sink;
+  constexpr uint64_t kQueued = 8;
+  std::thread releaser;
+  {
+    EngineOptions opt;
+    opt.num_query_threads = 1;
+    opt.serving.shutdown_drain_ms = 20;
+    opt.serving.fault_injector = &gate;
+    QueryEngine engine(std::move(g), HierarchyOptions{}, opt);
+    gate.Arm();
+    engine.SubmitTagged({0, static_cast<Vertex>(n - 1)}, 0, &sink);
+    gate.WaitHeld();
+    for (uint64_t tag = 1; tag <= kQueued; ++tag) {
+      engine.SubmitTagged({static_cast<Vertex>(tag % n), 0}, tag, &sink);
+    }
+    // The held burst outlives the 20 ms drain deadline; it is let go
+    // only after the drain has failed the queued jobs.
+    releaser = std::thread([&gate] {
+      std::this_thread::sleep_for(milliseconds(200));
+      gate.Release();
+    });
+  }
+  releaser.join();
+  std::map<uint64_t, StatusCode> seen;
+  for (const Completion& done : sink.Take()) {
+    EXPECT_TRUE(seen.emplace(done.tag, done.code).second)
+        << "tag " << done.tag << " delivered twice";
+  }
+  ASSERT_EQ(seen.size(), kQueued + 1);
+  EXPECT_EQ(seen.at(0), StatusCode::kOk);
+  for (uint64_t tag = 1; tag <= kQueued; ++tag) {
+    EXPECT_EQ(seen.at(tag), StatusCode::kOverloaded) << "tag " << tag;
+  }
+}
+
 // ------------------------------------------------------------ chaos
 
 // The full chaos matrix, per backend: every fault site armed at once,

@@ -21,6 +21,7 @@
 
 #include "dist/replica_node.h"
 #include "dist/socket_transport.h"
+#include "engine/fault_injector.h"
 #include "graph/dijkstra.h"
 #include "net/server.h"
 #include "tests/test_util.h"
@@ -320,6 +321,117 @@ TEST(RouterCompletionTest, TaggedDeliveryExactlyOnceAndExact) {
     ASSERT_EQ(done.distance,
               audit.Distance(queries[i].first, queries[i].second));
   }
+}
+
+// ----------------------------------------------- point bursts fan out
+
+// Waits (bounded) until `sink` holds `count` completions.
+std::vector<Completion> WaitForCompletions(RecordingSink* sink,
+                                           size_t count) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  std::vector<Completion> got = sink->Take();
+  while (got.size() < count && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    got = sink->Take();
+  }
+  return got;
+}
+
+// Point queries that queue while the lone router reader is busy leave
+// the queue as ONE burst and go to the replicas as one span fan-out:
+// 16 queries sharing a source fetch the shared rows once, so the burst
+// sends fewer RPCs than the same queries routed one at a time. Every
+// answer is bit-identical to ShardedSnapshot::Query and every tag
+// completes exactly once — also with the loopback transport dropping
+// and duplicating messages.
+TEST(RouterBurstTest, QueuedPointQueriesFanOutAsOneSpan) {
+  Graph g = SmallRoadNetwork(7, 911);
+  const uint32_t n = g.NumVertices();
+  testing_util::ReaderGate gate;
+  SeededFaultInjector transport_faults(911);  // armed in round two
+  LoopbackCluster cluster =
+      MakeLoopbackCluster(2, ShardReplicaOptions{}, &transport_faults);
+  ShardRouterOptions opt = RouterOpts(BackendKind::kStl);
+  opt.num_query_threads = 1;
+  opt.serving.fault_injector = &gate;
+  ShardRouter router(std::move(g), HierarchyOptions{}, opt,
+                     cluster.transport.get(), cluster.replica_ptrs());
+  const std::shared_ptr<const ShardedSnapshot> snap0 =
+      router.CurrentSnapshot();  // no updates: epoch 0 throughout
+
+  // Eight pairs from one source, each submitted twice.
+  constexpr size_t kBurst = 16;
+  std::vector<QueryPair> queries;
+  for (size_t i = 0; i < kBurst; ++i) {
+    queries.push_back({1, static_cast<Vertex>((37 * (i / 2) + 5) % n)});
+  }
+
+  // Routed one at a time, for the RPC count to beat.
+  uint64_t single_rpcs = 0;
+  for (const QueryPair& q : queries) {
+    const uint64_t before = router.Stats().rpcs_sent;
+    ShardedQueryResult r = router.Submit(q).get();
+    ASSERT_EQ(r.code, StatusCode::kOk);
+    ASSERT_EQ(r.distance, snap0->Query(q.first, q.second));
+    single_rpcs += router.Stats().rpcs_sent - before;
+  }
+  ASSERT_GT(single_rpcs, 0u);
+
+  // Submits the queries behind a held plug (s == t: no RPC), so they
+  // queue and the next wake-up takes all of them as one burst.
+  auto run_burst = [&](RecordingSink* sink, uint64_t tag_base) {
+    gate.Arm();
+    router.SubmitTagged({3, 3}, tag_base + kBurst, sink);
+    gate.WaitHeld();
+    for (size_t i = 0; i < kBurst; ++i) {
+      router.SubmitTagged(queries[i], tag_base + i, sink);
+    }
+    EXPECT_EQ(router.Stats().serving.queued_queries, kBurst);
+    gate.Release();
+    return WaitForCompletions(sink, kBurst + 1);
+  };
+  auto check = [&](const std::vector<Completion>& got, uint64_t tag_base,
+                   bool allow_unavailable) {
+    std::map<uint64_t, int> count;
+    for (const Completion& done : got) {
+      ++count[done.tag];
+      ASSERT_GE(done.tag, tag_base);
+      const size_t i = done.tag - tag_base;
+      ASSERT_LE(i, kBurst);
+      const QueryPair q = i < kBurst ? queries[i] : QueryPair{3, 3};
+      if (done.code == StatusCode::kOk) {
+        EXPECT_EQ(done.epoch, snap0->epoch);
+        EXPECT_EQ(done.distance, snap0->Query(q.first, q.second))
+            << "tag " << done.tag;
+      } else {
+        EXPECT_TRUE(allow_unavailable) << "tag " << done.tag;
+        EXPECT_EQ(done.code, StatusCode::kUnavailable);
+      }
+    }
+    EXPECT_EQ(count.size(), kBurst + 1);
+    for (const auto& [tag, c] : count) EXPECT_EQ(c, 1) << "tag " << tag;
+  };
+
+  // Round one, clean transport: one span, deduplicated fetches.
+  RecordingSink clean;
+  const uint64_t before = router.Stats().rpcs_sent;
+  check(run_burst(&clean, 0), 0, /*allow_unavailable=*/false);
+  const uint64_t burst_rpcs = router.Stats().rpcs_sent - before;
+  EXPECT_LT(burst_rpcs, single_rpcs)
+      << "the backlog was not routed as one span";
+  EXPECT_LE(2 * burst_rpcs, single_rpcs) << "duplicate pairs fetched twice";
+
+  // Round two, hostile transport: still exactly once, still exact.
+  transport_faults.SetRate(FaultSite::kTransportDrop, 0.4);
+  transport_faults.SetRate(FaultSite::kTransportDuplicate, 0.4);
+  RecordingSink hostile;
+  check(run_burst(&hostile, 100), 100, /*allow_unavailable=*/true);
+  EXPECT_GT(transport_faults.fired(FaultSite::kTransportDrop), 0u);
+  EXPECT_GT(transport_faults.fired(FaultSite::kTransportDuplicate), 0u);
+  // Every point query visited the reader-delay site once: the 16
+  // singles and two bursts of 16 plus their plugs.
+  EXPECT_EQ(gate.visits(), 3 * kBurst + 2);
 }
 
 // ------------------------------------------------- replica epoch ring

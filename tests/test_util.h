@@ -2,12 +2,16 @@
 #ifndef STL_TESTS_TEST_UTIL_H_
 #define STL_TESTS_TEST_UTIL_H_
 
+#include <condition_variable>
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/labelling.h"
 #include "core/tree_hierarchy.h"
+#include "engine/fault_injector.h"
 #include "graph/dijkstra.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -89,6 +93,57 @@ class EpochOracle {
     std::unique_ptr<Dijkstra> dijkstra;
   };
   std::map<uint64_t, Entry> oracles_;
+};
+
+/// A FaultInjector that parks a reader at FaultSite::kReaderDelay: once
+/// Arm()ed, the next visit blocks inside Fire() until Release(). The
+/// point jobs of a reader's burst are off the queue by then, so a test
+/// can queue work behind a burst a reader has already taken. Never
+/// asks for a sleep, ignores every other site, and counts every visit
+/// (one per routed query).
+class ReaderGate final : public FaultInjector {
+ public:
+  bool Fire(FaultSite site) override {
+    if (site != FaultSite::kReaderDelay) return false;
+    std::unique_lock<std::mutex> lock(mu_);
+    ++visits_;
+    if (!armed_) return false;
+    armed_ = false;
+    held_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return !held_; });
+    return false;
+  }
+  uint64_t DelayMicros(FaultSite /*site*/) override { return 0; }
+
+  /// Holds the next kReaderDelay visit.
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  /// Blocks until a reader is held.
+  void WaitHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return held_; });
+  }
+  /// Lets the held reader go.
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = false;
+    cv_.notify_all();
+  }
+  /// kReaderDelay visits so far.
+  uint64_t visits() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return visits_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool held_ = false;
+  uint64_t visits_ = 0;
 };
 
 /// Random weight update on a random edge (never a no-op); flips a coin
