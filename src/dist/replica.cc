@@ -82,7 +82,7 @@ std::vector<uint8_t> ShardReplica::Handle(const uint8_t* data,
         rejected_.fetch_add(1, std::memory_order_relaxed);
         return Unavailable(req.shard, req.shard_epoch);
       }
-      FillShardBoundaryRow(lay, req.shard, view, req.u, &resp.row);
+      snap->shards[req.shard]->FillBoundaryRow(lay, req.u, &resp.row);
       break;
     }
     case WireKind::kPointQuery: {

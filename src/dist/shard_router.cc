@@ -81,7 +81,7 @@ struct ShardRouter::SpanFanout
   // gather before enumeration finishes).
   std::atomic<size_t> pending{1};
 
-  std::vector<Weight> inner;  // CellRouter's inner-vector scratch
+  std::vector<Weight> route;  // CellRouter's column and inner scratch
 
   /// CellRouter row source: the fetched row of (shard, v), or null.
   const std::vector<Weight>* Row(uint32_t shard, Vertex v) {
@@ -103,7 +103,7 @@ struct ShardRouter::SpanFanout
     const ShardLayout& lay = *snap->layout;
     // Pass 1: enumerate every unique slot the span's routes request.
     {
-      CellRouter<SpanFanout> enumerate(*snap, this, &inner);
+      CellRouter<SpanFanout> enumerate(*snap, this, &route);
       for (size_t j = 0; j < count; ++j) {
         const QueryPair& q = queries[idx[j]];
         StatusCode unused = StatusCode::kOk;
@@ -174,10 +174,10 @@ struct ShardRouter::SpanFanout
   /// The sequential compute phase: the decomposition per query over
   /// the filled slots. Chunks touch disjoint out/codes slots.
   void Compute() {
-    CellRouter<SpanFanout> route(*snap, this, &inner);
+    CellRouter<SpanFanout> compute(*snap, this, &route);
     for (size_t j = 0; j < count; ++j) {
       const QueryPair& q = queries[idx[j]];
-      out[idx[j]] = route.Route(q.first, q.second, &codes[idx[j]]);
+      out[idx[j]] = compute.Route(q.first, q.second, &codes[idx[j]]);
     }
   }
 };

@@ -43,9 +43,9 @@
 //
 // Bit-identity (the conformance contract, tests/router_test.cc and
 // bench_router_fanout --check): replica-served rows are computed by
-// the same FillShardBoundaryRow on the same immutable shard views the
-// in-process engine reads, and both the enumeration and the compute
-// phase run the one cell decomposition (engine/cell_route.h) that
+// the same ShardServing::FillBoundaryRow on the same immutable shard
+// views the in-process engine reads, and both the enumeration and the
+// compute phase run the one cell decomposition (engine/cell_route.h) that
 // ShardedEngine routes through, on the same pinned overlay — so every
 // routed answer is byte-identical to ShardedEngine on the same epoch.
 #ifndef STL_DIST_SHARD_ROUTER_H_
@@ -228,7 +228,7 @@ class ShardRouter {
     using Snapshot = ShardedSnapshot;
     using Result = ShardedQueryResult;
     // Batched misses sort by BatchSortKey (engine/cell_route.h) so
-    // fetched rows and inner vectors are deduplicated across each
+    // fetched rows and overlay columns are deduplicated across each
     // group — the same grouping as ShardedEngine.
     static constexpr bool kGroupsBatches = true;
 

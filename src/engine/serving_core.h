@@ -1145,7 +1145,7 @@ class ServingCore {
     // Cache pass: hits are answered (and delivered) inline; only the
     // misses go to the reader pool.
     state->order.reserve(queries.size());
-    size_t hits = 0;
+    std::vector<uint32_t> hits;
     for (uint32_t i = 0; i < queries.size(); ++i) {
       Weight d;
       if (cache_.enabled() &&
@@ -1153,19 +1153,24 @@ class ServingCore {
                                            queries[i].second),
                         epoch, 1, &d)) {
         state->distances[i] = d;
-        ++hits;
-        if (sink != nullptr) {
-          DeliverCompletion(sink, state->tags[i], d, StatusCode::kOk, epoch,
-                            NanosSince(state->submitted));
-        }
+        hits.push_back(i);
       } else {
         state->order.push_back(i);
       }
     }
-    if (hits > 0) {
+    if (!hits.empty()) {
+      // Count before delivering, so a caller holding every tag reads
+      // every answer in queries_served.
       const uint64_t nanos = NanosSince(state->submitted);
-      for (size_t i = 0; i < hits; ++i) counters_.latency.Record(nanos);
-      counters_.queries_served.fetch_add(hits, std::memory_order_relaxed);
+      for (size_t i = 0; i < hits.size(); ++i) counters_.latency.Record(nanos);
+      counters_.queries_served.fetch_add(hits.size(),
+                                         std::memory_order_relaxed);
+      if (sink != nullptr) {
+        for (const uint32_t i : hits) {
+          DeliverCompletion(sink, state->tags[i], state->distances[i],
+                            StatusCode::kOk, epoch, nanos);
+        }
+      }
     }
 
     // Group the misses so same-key queries land adjacently (and thus in
@@ -1341,12 +1346,15 @@ class ServingCore {
         counters_.queries_unavailable.fetch_add(1,
                                                 std::memory_order_relaxed);
       }
-      if (state.sink != nullptr) {
-        DeliverCompletion(state.sink, state.tags[i], state.distances[i],
-                          code, epoch, nanos);
-      }
     }
+    // Count before delivering (as FinishBurst does).
     counters_.queries_served.fetch_add(served, std::memory_order_relaxed);
+    if (state.sink == nullptr) return;
+    for (size_t j = begin; j < end; ++j) {
+      const uint32_t i = state.order[j];
+      DeliverCompletion(state.sink, state.tags[i], state.distances[i],
+                        state.codes[i], epoch, nanos);
+    }
   }
 
   /// Completes chunk `c` of a ticket without routing it: every query in

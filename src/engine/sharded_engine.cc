@@ -79,7 +79,7 @@ struct SpanScratch {
   // (vertex, shard) key -> the row, for the current span. Node-based:
   // rows handed out earlier in the span stay valid across insertions.
   std::unordered_map<uint64_t, std::vector<Weight>> rows;
-  std::vector<Weight> inner;  // CellRouter's inner-vector scratch
+  std::vector<Weight> route;  // CellRouter's column and inner scratch
 };
 
 /// The in-process row source of CellRouter (engine/cell_route.h): a
@@ -107,7 +107,7 @@ class LocalRows {
     row.resize(width);
     if (!cache_->enabled() ||
         !cache_->Lookup(key, serving.shard_epoch, width, row.data())) {
-      FillShardBoundaryRow(*snap_.layout, shard, *serving.view, v, &row);
+      serving.FillBoundaryRow(*snap_.layout, v, &row);
       cache_->Insert(key, serving.shard_epoch, width, row.data());
     }
     return &row;
@@ -165,13 +165,35 @@ uint32_t ChooseShardCount(uint32_t num_vertices,
   return k;
 }
 
+// -------------------------------------------------------- ShardServing
+
+void ShardServing::FillBoundaryRow(const ShardLayout& layout, Vertex global,
+                                   std::vector<Weight>* out) const {
+  if (row_shape == nullptr) {
+    FillShardBoundaryRow(layout, shard, *view, global, out);
+    return;
+  }
+  const BoundaryRowBlock* block = BuiltRowBlock();
+  if (block == nullptr) {
+    std::call_once(row_block_once_, [this] {
+      row_block_owner_ = std::make_unique<const BoundaryRowBlock>(
+          row_shape.get(), view->StlHierarchy(), view->StlLabels());
+      row_block_.store(row_block_owner_.get(), std::memory_order_release);
+    });
+    block = row_block_owner_.get();
+  }
+  out->resize(block->shape().width());
+  block->Row(layout.local_of_vertex[global], out->data());
+}
+
 // ----------------------------------------------------- ShardedSnapshot
 
 Weight ShardedSnapshot::Query(Vertex s, Vertex t) const {
-  // Uncached on purpose, and a formulation of its own (fresh rows, a
-  // pruned double loop instead of the memoised inner vector): this is
-  // the reference that tests, audits and external snapshot holders run
-  // the serving decomposition (engine/cell_route.h) against.
+  // Uncached on purpose, and a formulation of its own (per-entry label
+  // scans for the rows, a pruned double loop instead of the overlay
+  // column): this is the reference that tests, audits and external
+  // snapshot holders run the serving decomposition
+  // (engine/cell_route.h) against.
   const ShardLayout& lay = *layout;
   STL_DCHECK(s < lay.shard_of_vertex.size());
   STL_DCHECK(t < lay.shard_of_vertex.size());
@@ -306,10 +328,17 @@ void ShardedEngine::PublishInitialSnapshot() {
     } else {
       overlay_->RebuildClique(c, *states_[c].graph, &executor);
     }
+    // STL shards serve boundary rows from a per-epoch label block in
+    // hierarchy order; the order itself is fixed for the engine's life.
+    if (view->StlHierarchy() != nullptr && view->StlLabels() != nullptr) {
+      states_[c].row_shape = std::make_shared<const BoundaryRowShape>(
+          *view->StlHierarchy(), layout_->shards[c].boundary_local);
+    }
     auto serving = std::make_shared<ShardServing>();
     serving->shard = c;
     serving->shard_epoch = 0;
     serving->view = std::move(view);
+    serving->row_shape = states_[c].row_shape;
     serving_[c] = std::move(serving);
   }
   auto snap = std::make_shared<ShardedSnapshot>();
@@ -345,7 +374,7 @@ void ShardedEngine::Policy::RouteLocal(const ShardedSnapshot& snap,
                                        Weight* out) const {
   thread_local SpanScratch scratch;
   LocalRows source(snap, &engine->row_cache_, &scratch);
-  CellRouter<LocalRows> router(snap, &source, &scratch.inner);
+  CellRouter<LocalRows> router(snap, &source, &scratch.route);
   StatusCode code = StatusCode::kOk;
   for (size_t j = 0; j < count; ++j) {
     const QueryPair& q = queries[idx[j]];
@@ -400,7 +429,15 @@ void ShardedEngine::Policy::AugmentStats(EngineStats* s) const {
     row.shard_epoch = snap->shards[c]->shard_epoch;
     row.updates_applied =
         e.shard_updates_[c].load(std::memory_order_relaxed);
-    row.resident_bytes = snap->shards[c]->view->AddResidentBytes(&seen);
+    const ShardServing& serving = *snap->shards[c];
+    row.resident_bytes = serving.view->AddResidentBytes(&seen);
+    if (const BoundaryRowBlock* block = serving.BuiltRowBlock()) {
+      row.resident_bytes += block->MemoryBytes();
+    }
+    if (serving.row_shape != nullptr &&
+        seen.insert(serving.row_shape.get()).second) {
+      row.resident_bytes += serving.row_shape->MemoryBytes();
+    }
     bytes += row.resident_bytes;
     s->shards.push_back(row);
   }
@@ -520,6 +557,7 @@ void ShardedEngine::ApplyAndPublish(const UpdateBatch& batch) {
     serving->shard = c;
     serving->shard_epoch = ++states_[c].shard_epoch;
     serving->view = std::move(view);
+    serving->row_shape = states_[c].row_shape;
     Timer overlay_timer;
     // The dirty-clique recompute, fanned across the reader pool. Label
     // backends answer the |S_c|^2 / 2 pairs by point queries against

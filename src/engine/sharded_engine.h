@@ -44,13 +44,16 @@
 // Routing (per query and batched alike) is the one cell decomposition
 // of engine/cell_route.h over the in-process row source: ds/dt rows
 // come from the engine-lifetime boundary-row cache or are computed on
-// the pinned shard views, memoised per routing span. SubmitBatch pins
-// one snapshot and groups the misses by (source cell, target cell,
-// target), so each group's inner vector min_{b2} D[b1][b2] + dt[b2] is
-// computed once through OverlayTable::MinPlusRowsInto. Answers are
-// bit-identical to the uncached reference ShardedSnapshot::Query on the
-// pinned epoch (asserted in tests/sharded_engine_test.cc and the
-// bench_sharded_scaling --check guard).
+// the pinned shard views (STL shards: one pass over the epoch's
+// boundary-row block, index/boundary_rows.h), memoised per routing
+// span. SubmitBatch pins one snapshot and sorts the misses by (target
+// cell, target, source cell), so each target's overlay column
+// min_{b2} D[p][b2] + dt[b2] is computed once, through
+// OverlayTable::MinPlusRowsInto, at the union of its source cells'
+// boundary positions. Answers are bit-identical to the uncached
+// reference ShardedSnapshot::Query on the pinned epoch (asserted in
+// tests/sharded_engine_test.cc and the bench_sharded_scaling --check
+// guard).
 //
 // Update locality: a batch that only touches edges inside cell i
 // republishes shard i's epoch and the overlay; every other shard's
@@ -63,9 +66,11 @@
 #include <cstdint>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "engine/serving_core.h"
+#include "index/boundary_rows.h"
 #include "index/overlay.h"
 
 namespace stl {
@@ -81,6 +86,32 @@ struct ShardServing {
   uint64_t shard_epoch = 0;
   /// The shard backend's immutable query surface.
   std::shared_ptr<const IndexView> view;
+  /// The shard's boundary order under its STL hierarchy, shared by
+  /// every epoch of the shard (the hierarchy never changes under weight
+  /// updates); null for non-STL backends.
+  std::shared_ptr<const BoundaryRowShape> row_shape;
+
+  /// Fills `out` with the |S_shard| shard-local distances from global
+  /// vertex `global` (owned by this shard) to the shard's boundary set:
+  /// the bytes FillShardBoundaryRow computes on `view`. With a
+  /// `row_shape`, one vectorised pass over this epoch's boundary-row
+  /// block (index/boundary_rows.h), built on the first call; otherwise
+  /// the per-entry loop. Thread-safe.
+  void FillBoundaryRow(const ShardLayout& layout, Vertex global,
+                       std::vector<Weight>* out) const;
+
+  /// This epoch's boundary-row block once a row has built it; null
+  /// before that and for non-STL shards (resident-bytes accounting).
+  const BoundaryRowBlock* BuiltRowBlock() const {
+    return row_block_.load(std::memory_order_acquire);
+  }
+
+ private:
+  // The block is a memo of the immutable view: built on a reader, once,
+  // so the writer's publish does no extra work per epoch.
+  mutable std::once_flag row_block_once_;
+  mutable std::unique_ptr<const BoundaryRowBlock> row_block_owner_;
+  mutable std::atomic<const BoundaryRowBlock*> row_block_{nullptr};
 };
 
 /// One immutable published version of the sharded serving state. A
@@ -230,8 +261,8 @@ class ShardedEngine {
                                          Deadline deadline = kNoDeadline);
 
   /// Schedules a batch of queries pinned to ONE snapshot, grouped by
-  /// (source cell, target cell, target) so boundary-distance rows are
-  /// reused across the group; answers are bit-identical to per-query
+  /// (target cell, target, source cell) so boundary-distance rows and
+  /// overlay columns are reused; answers are bit-identical to per-query
   /// Submit calls on that same snapshot. Under overload queries may
   /// complete with failure codes on the ticket (BatchTicket::code).
   Ticket SubmitBatch(const std::vector<QueryPair>& queries,
@@ -297,8 +328,8 @@ class ShardedEngine {
   struct Policy {
     using Snapshot = ShardedSnapshot;
     using Result = ShardedQueryResult;
-    // Batched misses are sorted by (source cell, target cell, target)
-    // so the routing chunks can reuse ds/dt rows and inner vectors.
+    // Batched misses are sorted by (target cell, target, source cell)
+    // so the routing chunks can reuse ds/dt rows and overlay columns.
     static constexpr bool kGroupsBatches = true;
 
     ShardedEngine* engine;
@@ -329,6 +360,8 @@ class ShardedEngine {
     std::unique_ptr<Graph> graph;          // shard master subgraph
     std::unique_ptr<DistanceIndex> index;  // shard master index
     uint64_t shard_epoch = 0;
+    // Boundary order for the row block (STL only), built at startup.
+    std::shared_ptr<const BoundaryRowShape> row_shape;
   };
 
   /// Applies one coalesced batch (already partitioned by the caller into

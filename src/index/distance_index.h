@@ -98,10 +98,16 @@ class IndexView {
   virtual uint64_t AddResidentBytes(
       std::unordered_set<const void*>* seen) const = 0;
 
-  /// STL-backend label introspection for tests and benches; null on
-  /// every other backend.
+  /// The STL labels of this epoch; null on every other backend. On the
+  /// serving path: the sharded engine transposes a shard's boundary
+  /// labels into its boundary-row block (index/boundary_rows.h) when
+  /// both this and StlHierarchy() are non-null. The pointer lives as
+  /// long as the view.
   virtual const Labelling* StlLabels() const { return nullptr; }
-  /// STL-backend hierarchy introspection; null on other backends.
+  /// The STL hierarchy of this epoch (shared by every epoch of one
+  /// master, since weight updates never change it); null on other
+  /// backends. On the serving path: it orders a shard's boundary-row
+  /// block and drives the row kernel's root-path walk.
   virtual const TreeHierarchy* StlHierarchy() const { return nullptr; }
 };
 

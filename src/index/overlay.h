@@ -140,16 +140,18 @@ struct ShardPlan {
 /// Dies if `cells` does not describe `g` (sizes, separator property).
 ShardPlan BuildShardPlan(const Graph& g, const CellPartition& cells);
 
-/// The row-fetch surface shared by the in-process router and the
-/// distributed shard replicas (dist/replica.h): fills `out` with the
-/// shard-local distances from global vertex `global` (owned by shard
-/// `shard`) to that shard's boundary set S_i, computed on `view` —
-/// one point query per boundary vertex, in the order of
+/// The per-entry definition of a shard-to-boundary row: fills `out`
+/// with the shard-local distances from global vertex `global` (owned by
+/// shard `shard`) to that shard's boundary set S_i, computed on `view`
+/// — one point query per boundary vertex, in the order of
 /// ShardLayout::Shard::boundary_local. Returns the row width |S_i|;
 /// kInfDistance where the shard subgraph disconnects them. The row is
 /// a pure function of (layout, shard, view, global), so any holder of
-/// the same immutable view — local reader or remote replica — produces
-/// bit-identical bytes.
+/// the same immutable view produces bit-identical bytes. Serving goes
+/// through ShardServing::FillBoundaryRow (engine/sharded_engine.h),
+/// which reads STL shards' boundary-row block (index/boundary_rows.h)
+/// and falls back to this loop for the other backends;
+/// ShardedSnapshot::Query keeps this loop as the independent reference.
 uint32_t FillShardBoundaryRow(const ShardLayout& layout, uint32_t shard,
                               const IndexView& view, Vertex global,
                               std::vector<Weight>* out);
@@ -239,9 +241,8 @@ class OverlayTable {
   /// `out[i] = min_j PackedRow(s, rows[i])[j] + b[j]` over shard `s`'s
   /// packed width (the SIMD min-plus kernel per row). `b` must hold
   /// that width's entries — a shard-local boundary-distance row. Batched
-  /// submission computes one such inner vector per (source-cell,
-  /// target-cell, target) group and reuses it across every source in
-  /// the group (engine/sharded_engine.h).
+  /// routing fills one overlay column per target through it, at the
+  /// boundary positions its source cells need (engine/cell_route.h).
   void MinPlusRowsInto(uint32_t s, const uint32_t* rows, uint32_t nrows,
                        const Weight* b, Weight* out) const;
 

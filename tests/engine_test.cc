@@ -867,6 +867,63 @@ TEST(QueryEngineTest, SubmitBatchTaggedDeliversOncePerTagAndMatchesTicket) {
   EXPECT_EQ(cq.Poll(buf, 32), 0u);
 }
 
+// Checks, inside every Deliver, that queries_served already counts
+// every tag delivered so far: a caller holding all its tags must read
+// them all in Stats().
+class ServedBeforeDeliverySink final : public CompletionSink {
+ public:
+  explicit ServedBeforeDeliverySink(const QueryEngine* engine)
+      : engine_(engine) {}
+
+  void Deliver(const Completion& done) override {
+    (void)done;
+    std::lock_guard<std::mutex> lock(mu_);
+    ++delivered_;
+    const uint64_t served = engine_->Stats().queries_served;
+    if (served < delivered_) ++early_;
+  }
+
+  uint64_t delivered() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return delivered_;
+  }
+  // Deliveries that ran ahead of the served counter.
+  uint64_t early() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return early_;
+  }
+
+ private:
+  const QueryEngine* const engine_;
+  std::mutex mu_;
+  uint64_t delivered_ = 0;
+  uint64_t early_ = 0;
+};
+
+TEST(QueryEngineTest, TaggedBatchCountsServedBeforeDelivering) {
+  Graph g = testing_util::SmallRoadNetwork(7, 67);
+  const uint32_t n = g.NumVertices();
+  EngineOptions opt = SmallEngineOptions();
+  opt.result_cache_entries = 1 << 12;
+  QueryEngine engine(std::move(g), HierarchyOptions{}, opt);
+  ServedBeforeDeliverySink sink(&engine);
+  Rng rng(67);
+  std::vector<QueryPair> queries;
+  std::vector<uint64_t> tags;
+  for (int i = 0; i < 96; ++i) {
+    queries.emplace_back(static_cast<Vertex>(rng.NextBounded(n)),
+                         static_cast<Vertex>(rng.NextBounded(n)));
+    tags.push_back(i);
+  }
+  // Routed chunks first; the repeat on the same epoch is answered by
+  // the submit-side result-cache pass.
+  engine.SubmitBatchTagged(queries, tags, &sink).Wait();
+  engine.SubmitBatchTagged(queries, tags, &sink).Wait();
+  EXPECT_EQ(sink.delivered(), 2 * queries.size());
+  EXPECT_GT(engine.Stats().result_cache_hits, 0u);
+  EXPECT_EQ(sink.early(), 0u);
+}
+
 // ----------------------------------------------- epoch-keyed result cache
 
 TEST(QueryEngineTest, ResultCacheHitsAndEpochInvalidation) {

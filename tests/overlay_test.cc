@@ -5,18 +5,22 @@
 // disconnect/reconnect transitions, and multi-cell batches — while
 // pointer-sharing the rows the batch left clean. The engine-level
 // section replays the same contract through ShardedEngine on all four
-// backends under concurrent batch load (the TSan target).
+// backends under concurrent batch load (the TSan target). The last
+// section checks the STL boundary-row block against the per-entry
+// label scans it replaces.
 #include "index/overlay.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "engine/sharded_engine.h"
 #include "graph/dijkstra.h"
+#include "index/boundary_rows.h"
 #include "partition/cells.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -385,6 +389,176 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, OverlayEngineTest,
                          [](const auto& info) {
                            return std::string(BackendName(info.param));
                          });
+
+// ---------------------------------------------------------------------
+// Boundary-row block (index/boundary_rows.h): every row the block
+// serves must equal the per-entry label scans of FillShardBoundaryRow,
+// for both kernels, on every STL shard and epoch.
+
+// Two disjoint road networks in one graph: label entries across the
+// components are kInfDistance.
+Graph DisjointRoadNetworks(uint32_t side, uint64_t seed) {
+  const Graph a = testing_util::SmallRoadNetwork(side, seed);
+  const Graph b = testing_util::SmallRoadNetwork(side, seed + 1);
+  const uint32_t na = a.NumVertices();
+  std::vector<Edge> edges(a.edges().begin(), a.edges().end());
+  for (const Edge& e : b.edges()) edges.push_back({e.u + na, e.v + na, e.w});
+  return testing_util::MakeGraph(na + b.NumVertices(), std::move(edges));
+}
+
+// Checks every row of every shard of `snap` from every shard vertex
+// (cell vertices, and boundary vertices for the s == b entries): the
+// scalar kernel, the AVX2 kernel where the CPU has it, and the served
+// ShardServing::FillBoundaryRow against the per-entry view queries.
+// Returns the number of rows checked.
+uint64_t ExpectBlockRowsMatchScans(const ShardedSnapshot& snap,
+                                   const std::string& context) {
+  const ShardLayout& lay = *snap.layout;
+  const bool avx2 = MinPlusReduceUsesAvx2();
+  uint64_t rows = 0;
+  for (uint32_t c = 0; c < lay.num_shards(); ++c) {
+    const ShardServing& serving = *snap.shards[c];
+    const ShardLayout::Shard& sh = lay.shards[c];
+    const uint32_t width = static_cast<uint32_t>(sh.boundary_local.size());
+    EXPECT_NE(serving.row_shape, nullptr) << context << " shard " << c;
+    if (serving.row_shape == nullptr) continue;
+    const BoundaryRowBlock block(serving.row_shape.get(),
+                                 serving.view->StlHierarchy(),
+                                 serving.view->StlLabels());
+    std::vector<Weight> want(width);
+    std::vector<Weight> scalar(width);
+    std::vector<Weight> vec(width);
+    std::vector<Weight> served;
+    for (Vertex local = 0; local < sh.to_global.size(); ++local) {
+      for (uint32_t i = 0; i < width; ++i) {
+        want[i] = serving.view->Query(local, sh.boundary_local[i]);
+      }
+      block.RowWithKernel(local, /*avx2=*/false, scalar.data());
+      EXPECT_EQ(scalar, want) << context << " scalar, shard " << c
+                              << " local " << local;
+      if (avx2) {
+        block.RowWithKernel(local, /*avx2=*/true, vec.data());
+        EXPECT_EQ(vec, want) << context << " avx2, shard " << c
+                             << " local " << local;
+      }
+      if (local < sh.num_cell_vertices) {
+        const Vertex global = sh.to_global[local];
+        std::vector<Weight> scan;
+        FillShardBoundaryRow(lay, c, *serving.view, global, &scan);
+        EXPECT_EQ(scan, want);
+        serving.FillBoundaryRow(lay, global, &served);
+        EXPECT_EQ(served, want) << context << " served, shard " << c
+                                << " local " << local;
+      }
+      ++rows;
+    }
+  }
+  return rows;
+}
+
+// Epoch 0, then random STL-P or STL-L epochs, for one engine.
+void CheckBlockRowsAcrossEpochs(Graph g, uint32_t shards,
+                                StrategyMode strategy, uint64_t seed) {
+  const uint32_t m = g.NumEdges();
+  ShardedEngineOptions opt;
+  opt.backend = BackendKind::kStl;
+  opt.target_shards = shards;
+  opt.num_query_threads = 1;
+  opt.strategy = strategy;
+  ShardedEngine engine(std::move(g), HierarchyOptions{}, opt);
+  if (shards > 1) {
+    ASSERT_GE(engine.num_shards(), 2u);
+    ASSERT_GT(engine.layout().num_boundary(), 0u);
+  }
+  const std::string mode =
+      strategy == StrategyMode::kAlwaysParetoSearch ? "STL-P" : "STL-L";
+  Rng rng(seed);
+  uint64_t rows = ExpectBlockRowsMatchScans(*engine.CurrentSnapshot(),
+                                            mode + " epoch 0");
+  for (int round = 0; round < 4; ++round) {
+    std::vector<WeightUpdate> updates;
+    const int count = 1 + static_cast<int>(rng.NextBounded(12));
+    for (int i = 0; i < count; ++i) {
+      updates.push_back(
+          WeightUpdate{static_cast<EdgeId>(rng.NextBounded(m)), 0,
+                       1 + static_cast<Weight>(rng.NextBounded(500))});
+    }
+    engine.EnqueueUpdates(updates);
+    engine.Flush();
+    const auto snap = engine.CurrentSnapshot();
+    rows += ExpectBlockRowsMatchScans(
+        *snap, mode + " epoch " + std::to_string(snap->epoch));
+  }
+  EXPECT_GT(rows, 0u);
+}
+
+class BoundaryRowBlockTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(BoundaryRowBlockTest, RowsMatchPerEntryScansAcrossEpochs) {
+  const uint32_t k = GetParam();
+  for (StrategyMode strategy : {StrategyMode::kAlwaysParetoSearch,
+                                StrategyMode::kAlwaysLabelSearch}) {
+    CheckBlockRowsAcrossEpochs(testing_util::SmallRoadNetwork(14, 300 + k),
+                               k, strategy, 300 + k);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ShardCounts, BoundaryRowBlockTest,
+                         ::testing::Values(2u, 4u, 8u));
+
+TEST(BoundaryRowBlockTest, RowsMatchOnADisconnectedGraph) {
+  for (StrategyMode strategy : {StrategyMode::kAlwaysParetoSearch,
+                                StrategyMode::kAlwaysLabelSearch}) {
+    CheckBlockRowsAcrossEpochs(DisjointRoadNetworks(9, 310), 4, strategy,
+                               310);
+  }
+}
+
+TEST(BoundaryRowBlockTest, ShardWithoutBoundaryServesEmptyRows) {
+  ShardedEngineOptions opt;
+  opt.target_shards = 1;
+  opt.num_query_threads = 1;
+  ShardedEngine engine(testing_util::SmallRoadNetwork(8, 320),
+                       HierarchyOptions{}, opt);
+  const auto snap = engine.CurrentSnapshot();
+  ASSERT_EQ(snap->layout->num_boundary(), 0u);
+  EXPECT_GT(ExpectBlockRowsMatchScans(*snap, "k=1"), 0u);
+  std::vector<Weight> row(3, 7);
+  snap->shards[0]->FillBoundaryRow(*snap->layout, 0, &row);
+  EXPECT_TRUE(row.empty());
+  EXPECT_EQ(engine.Submit({0, 5}).get().distance, snap->Query(0, 5));
+}
+
+// The kernel alone on a disconnected graph's labels, with an arbitrary
+// vertex set standing in for S: rows mix finite distances with
+// kInfDistance, and both kernels must clamp exactly as QueryDistance.
+TEST(BoundaryRowBlockTest, UnreachableBoundaryReadsInfinity) {
+  const Graph g = DisjointRoadNetworks(8, 330);
+  const TreeHierarchy h = TreeHierarchy::Build(g, HierarchyOptions{});
+  const Labelling labels = BuildLabelling(g, h);
+  std::vector<Vertex> boundary;
+  for (Vertex v = 0; v < g.NumVertices(); v += 5) boundary.push_back(v);
+  const BoundaryRowShape shape(h, boundary);
+  ASSERT_EQ(shape.width(), boundary.size());
+  ASSERT_EQ(shape.stride() % BoundaryRowShape::kLaneBlock, 0u);
+  const BoundaryRowBlock block(&shape, &h, &labels);
+  std::vector<Weight> row(boundary.size());
+  uint64_t inf = 0;
+  uint64_t finite = 0;
+  for (Vertex s = 0; s < g.NumVertices(); ++s) {
+    for (const bool avx2 : {false, true}) {
+      if (avx2 && !MinPlusReduceUsesAvx2()) continue;
+      block.RowWithKernel(s, avx2, row.data());
+      for (size_t i = 0; i < boundary.size(); ++i) {
+        ASSERT_EQ(row[i], QueryDistance(h, labels, s, boundary[i]))
+            << "s=" << s << " b=" << boundary[i] << " avx2=" << avx2;
+        (row[i] == kInfDistance ? inf : finite) += 1;
+      }
+    }
+  }
+  EXPECT_GT(inf, 0u);
+  EXPECT_GT(finite, 0u);
+}
 
 }  // namespace
 }  // namespace stl

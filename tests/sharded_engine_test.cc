@@ -605,5 +605,80 @@ TEST(ShardedEngineTest, CellRouteFailsOnlyQueriesNeedingAMissingRow) {
   }
 }
 
+// The per-target overlay column (engine/cell_route.h): spans with one
+// target and sources from every cell, boundary sources, same-cell pairs
+// and s == t. Every answer must equal the independent reference, both
+// for the router alone and through SubmitBatch.
+TEST(ShardedEngineTest, CellRouteColumnServesEverySourceOfATarget) {
+  Graph g = testing_util::SmallRoadNetwork(9, 62);
+  const uint32_t n = g.NumVertices();
+  ShardedEngine engine(std::move(g), HierarchyOptions{},
+                       SmallShardedOptions(BackendKind::kStl, 4));
+  const std::shared_ptr<const ShardedSnapshot> snap = engine.CurrentSnapshot();
+  const ShardLayout& lay = *snap->layout;
+  ASSERT_GE(lay.num_shards(), 2u);
+  ASSERT_GT(lay.num_boundary(), 0u);
+
+  // Targets: the first cell vertex of every cell, and a boundary vertex.
+  std::vector<Vertex> targets;
+  for (uint32_t c = 0; c < lay.num_shards(); ++c) {
+    targets.push_back(lay.shards[c].to_global[0]);
+  }
+  targets.push_back(lay.partition.boundary[0]);
+
+  OneRowMissing all_rows;  // loses nothing: no vertex is in shard -1
+  all_rows.snap = snap.get();
+  all_rows.missing_shard = UINT32_MAX;
+  auto by_key = [&](std::vector<QueryPair>* span) {
+    std::stable_sort(span->begin(), span->end(),
+                     [&](const QueryPair& a, const QueryPair& b) {
+                       return BatchSortKey(*snap, a) < BatchSortKey(*snap, b);
+                     });
+  };
+  std::vector<QueryPair> every_target;
+  for (const Vertex t : targets) {
+    std::vector<QueryPair> span;
+    for (Vertex s = 0; s < n; ++s) span.push_back({s, t});
+    by_key(&span);
+    std::vector<Weight> scratch;
+    CellRouter<OneRowMissing> router(*snap, &all_rows, &scratch);
+    std::set<uint32_t> source_cells;
+    for (const QueryPair& q : span) {
+      StatusCode code = StatusCode::kOk;
+      ASSERT_EQ(router.Route(q.first, q.second, &code),
+                snap->Query(q.first, q.second))
+          << "s=" << q.first << " t=" << q.second;
+      ASSERT_EQ(code, StatusCode::kOk);
+      source_cells.insert(lay.shard_of_vertex[q.first]);
+    }
+    // Every cell plus the boundary pseudo-cell sourced this target.
+    EXPECT_EQ(source_cells.size(), lay.num_shards() + 1u);
+    every_target.insert(every_target.end(), span.begin(), span.end());
+  }
+
+  // One span over all targets rebinds the column per target.
+  by_key(&every_target);
+  std::vector<Weight> scratch;
+  CellRouter<OneRowMissing> router(*snap, &all_rows, &scratch);
+  for (const QueryPair& q : every_target) {
+    StatusCode code = StatusCode::kOk;
+    ASSERT_EQ(router.Route(q.first, q.second, &code),
+              snap->Query(q.first, q.second))
+        << "s=" << q.first << " t=" << q.second;
+  }
+
+  // The same pairs served as one batch (the engine's row source, row
+  // cache and block rows) on the pinned epoch.
+  ShardedEngine::Ticket ticket = engine.SubmitBatch(every_target);
+  ticket.Wait();
+  for (size_t i = 0; i < every_target.size(); ++i) {
+    ASSERT_EQ(ticket.code(i), StatusCode::kOk);
+    ASSERT_EQ(ticket.distance(i), ticket.snapshot()->Query(
+                                      every_target[i].first,
+                                      every_target[i].second))
+        << "s=" << every_target[i].first << " t=" << every_target[i].second;
+  }
+}
+
 }  // namespace
 }  // namespace stl
